@@ -4,8 +4,9 @@ The resilience experiment replays the same deterministic incident — a
 subsystem restart takes a backend out mid-run — with the health
 machinery off and on. The assertions pin the claims the machinery is
 sold on: breakers recover goodput lost to routing-behind-the-reboot,
-and brownout recovers more by degrading instead of queueing. A metrics
-snapshot lands in ``results/BENCH_resilience.json``.
+and brownout recovers more by degrading instead of queueing. A snapshot
+of the simulated goodputs lands in ``results/BENCH_resilience.json``;
+it holds no host timings, so CI diffs it against the committed file.
 """
 
 import json
@@ -42,7 +43,6 @@ def test_resilience(benchmark, save_result):
         failed == 0 for failed in result.series["storm_failed"]
     )
 
-    wall_s = benchmark.stats.stats.total
     metrics = {
         "storm_goodput_off_rps": goodputs["off"],
         "storm_goodput_breakers_rps": goodputs["breakers"],
@@ -51,7 +51,6 @@ def test_resilience(benchmark, save_result):
             goodputs["breakers"] / goodputs["off"]
             if goodputs["off"] else 0.0
         ),
-        "wall_s": wall_s,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     with open(RESULTS_DIR / "BENCH_resilience.json", "w") as handle:

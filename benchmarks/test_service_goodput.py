@@ -1,10 +1,11 @@
 """Bench: service-tier goodput, batching tradeoff, overload sweep.
 
 Besides the rendered table, this test leaves
-``results/BENCH_service_goodput.json`` behind — a small metrics
-snapshot (goodput, p99, simulated requests per wall-second) so later
-changes to the service tier inherit a perf trajectory to compare
-against.
+``results/BENCH_service_goodput.json`` behind — a snapshot of the
+simulated goodput and p99. It holds no host timings, so a run leaves
+the committed file unchanged unless the service's simulated results
+move; CI diffs it. Host time of the service tier is measured by
+``perfbench`` (the ``serve_overload`` workload).
 """
 
 import json
@@ -46,8 +47,6 @@ def test_service_goodput(benchmark, save_result):
     assert batch_throughput[1] > batch_throughput[0]
     assert batch_p99[1] < batch_p99[0]
 
-    wall_s = benchmark.stats.stats.total
-    served = sum(int(row[2]) for row in result.rows)
     metrics = {
         "peak_goodput_rps": peak_goodput,
         "peak_goodput_load_factor": peak_goodput_factor,
@@ -56,8 +55,6 @@ def test_service_goodput(benchmark, save_result):
         "p99_ms_at_peak": result.series["load_p99_ms"][
             goodputs.index(peak_goodput)
         ],
-        "sessions_per_sec": served / wall_s if wall_s else 0.0,
-        "wall_s": wall_s,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     with open(RESULTS_DIR / "BENCH_service_goodput.json", "w") as handle:

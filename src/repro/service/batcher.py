@@ -35,9 +35,6 @@ class DynamicBatcher:
                 f"max_delay_us must be >= 0, got {self.max_delay_us}"
             )
 
-    def __len__(self):
-        return len(self.pending)
-
     def push(self, request, now_us):
         """Append a request at the current simulated time."""
         self.pending.append((now_us, request))

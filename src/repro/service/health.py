@@ -171,13 +171,16 @@ class HealthMonitor:
             backend_id: CircuitBreaker(self.config)
             for backend_id in backend_ids
         }
+        #: Breakers not closed (open or half-open). While it is 0 every
+        #: ``allow()`` is a no-op ``True``, and the router skips it.
+        self.tripped = 0
 
     def allow(self, backend_id):
         breaker = self.breakers[backend_id]
         before = breaker.state
         allowed = breaker.allow(self.sim.now)
         if breaker.state != before:
-            self._mark(backend_id, breaker)
+            self._mark(backend_id, breaker, before)
         return allowed
 
     def note_dispatch(self, backend_id):
@@ -188,16 +191,20 @@ class HealthMonitor:
         before = breaker.state
         breaker.record_success(self.sim.now)
         if breaker.state != before:
-            self._mark(backend_id, breaker)
+            self._mark(backend_id, breaker, before)
 
     def record_failure(self, backend_id):
         breaker = self.breakers[backend_id]
         before = breaker.state
         breaker.record_failure(self.sim.now)
         if breaker.state != before:
-            self._mark(backend_id, breaker)
+            self._mark(backend_id, breaker, before)
 
-    def _mark(self, backend_id, breaker):
+    def _mark(self, backend_id, breaker, before):
+        if before == STATE_CLOSED:
+            self.tripped += 1
+        elif breaker.state == STATE_CLOSED:
+            self.tripped -= 1
         instant(
             self.sim, f"health:{breaker.state}",
             {"backend": backend_id},

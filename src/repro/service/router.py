@@ -22,9 +22,13 @@ records the failure (ejecting the backend from routing once it trips),
 and an SSR fault additionally costs the backend a reboot window.
 """
 
+from operator import attrgetter
+
 from repro.faults import FAULT_SSR
 from repro.sim.probes import counter, instant
 from repro.service.request import OUTCOME_FAILED, OUTCOME_OK
+
+_depth = attrgetter("depth")
 
 
 class Backend:
@@ -41,8 +45,14 @@ class Backend:
         self.health = health
         self._on_failed = on_failed
         self.ssr_recovery_us = ssr_recovery_us
-        #: Requests being served in the current batch.
-        self.inflight = 0
+        #: Outstanding requests here: batching queue plus in flight.
+        #: Maintained where a request enters (:meth:`enqueue`) or
+        #: leaves (end of a served or failed batch), so load queries
+        #: on the dispatch path are O(1).
+        self.depth = 0
+        #: The :class:`Router` whose ``outstanding`` this backend's
+        #: depth counts toward (attached by the router).
+        self.router = None
         self.served_batches = 0
         self.served_requests = 0
         self.failed_batches = 0
@@ -54,21 +64,23 @@ class Backend:
             self._loop(), name=f"service:backend{profile.backend_id}"
         )
 
-    @property
-    def depth(self):
-        """Outstanding requests here: batching queue plus in flight."""
-        return len(self.batcher) + self.inflight
-
     def enqueue(self, request):
         """Accept a routed request into the batching queue."""
         request.backend_id = self.profile.backend_id
         self.batcher.push(request, self.sim.now)
+        self.depth += 1
+        self.router.outstanding += 1
         counter(
             self.sim, f"service:backend{self.profile.backend_id}:depth",
             self.depth,
         )
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
+
+    def _release(self, batch):
+        """A batch left this backend: served, or failed back to the router."""
+        self.depth -= len(batch)
+        self.router.outstanding -= len(batch)
 
     def _wait(self, *events):
         self._wakeup = self.sim.event(
@@ -101,7 +113,6 @@ class Backend:
         inference_total_us = self.profile.batch_inference_us(flags)
         service_us = inference_total_us + self.profile.batch_tax_us(flags)
         start_us = self.sim.now
-        self.inflight = len(batch)
         fault = (
             self.injector.draw(self.sim.now)
             if self.injector is not None else None
@@ -133,7 +144,7 @@ class Backend:
                 - request.inference_us - request.tax_us,
             )
             request.outcome = OUTCOME_OK
-        self.inflight = 0
+        self._release(batch)
         self.busy_us += service_us
         self.served_batches += 1
         self.served_requests += len(batch)
@@ -154,7 +165,7 @@ class Backend:
         costs this backend its subsystem-reboot window before it can
         form another batch.
         """
-        self.inflight = 0
+        self._release(batch)
         self.busy_us += service_us
         self.failed_batches += 1
         self.failed_requests += len(batch)
@@ -221,11 +232,11 @@ class Router:
         self.redispatches = 0
         #: Requests that exhausted the redispatch budget.
         self.failed = 0
-
-    @property
-    def outstanding(self):
-        """Admitted-but-unfinished requests across the pool."""
-        return sum(backend.depth for backend in self.backends)
+        #: Admitted-but-unfinished requests across the pool: the sum of
+        #: the backends' ``depth``, kept current by the backends.
+        self.outstanding = 0
+        for backend in self.backends:
+            backend.router = self
 
     def _candidates(self, exclude_id=None):
         """Routable backends, pool order (never empty).
@@ -233,9 +244,11 @@ class Router:
         Prefers healthy backends other than ``exclude_id`` (the one
         that just failed the request), then any healthy backend, then —
         when every breaker is open — the whole pool: routing must still
-        land somewhere, and the half-open probes find recovery.
+        land somewhere, and the half-open probes find recovery. While
+        every breaker is closed ``allow()`` admits all and changes no
+        state, so the per-backend check is skipped.
         """
-        if self.health is not None:
+        if self.health is not None and self.health.tripped:
             allowed = [
                 backend for backend in self.backends
                 if self.health.allow(backend.profile.backend_id)
@@ -253,11 +266,8 @@ class Router:
 
     def dispatch(self, request, exclude_id=None):
         """Route to the least-loaded routable backend; returns it."""
-        candidates = self._candidates(exclude_id)
-        target = candidates[0]
-        for backend in candidates[1:]:
-            if backend.depth < target.depth:
-                target = backend
+        # min() keeps the first of equal depths: ties go to pool order.
+        target = min(self._candidates(exclude_id), key=_depth)
         if self.health is not None:
             self.health.note_dispatch(target.profile.backend_id)
         if self.brownout is not None and self.brownout.update(

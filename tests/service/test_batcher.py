@@ -14,7 +14,7 @@ def make_request(request_id=0):
 
 def test_empty_batcher_is_idle():
     batcher = DynamicBatcher(max_batch=4, max_delay_us=5000.0)
-    assert len(batcher) == 0
+    assert len(batcher.pending) == 0
     assert batcher.deadline_us() == math.inf
     assert not batcher.ready(now_us=1e9)
     with pytest.raises(ValueError, match="empty batcher"):
@@ -29,7 +29,7 @@ def test_flushes_when_full():
     # Full batch flushes immediately, long before the delay deadline.
     assert batcher.ready(now_us=101.0)
     assert [r.request_id for r in batcher.take()] == [0, 1]
-    assert len(batcher) == 0
+    assert len(batcher.pending) == 0
 
 
 def test_single_request_flushes_at_max_delay():
