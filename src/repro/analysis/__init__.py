@@ -1,25 +1,36 @@
-"""Correctness tooling: determinism lint and the simulation sanitizer.
+"""Correctness tooling: static checkers and the simulation sanitizer.
 
-Two layers guard the property every regenerated figure depends on —
-that a seeded simulation replays bit-identically:
+The tools guard the property every regenerated figure depends on —
+that a seeded simulation replays bit-identically — and the numbers it
+computes. ``python -m repro check`` runs the four static checkers over
+the same paths (``--tool NAME`` narrows it to one):
 
-- :mod:`repro.analysis.lint` — an AST linter (``python -m repro lint``)
-  for the hazard patterns that have actually broken replay here
-  (wall-clock reads, global RNGs, ``id()``-derived keys, process-global
-  counters, unordered iteration feeding artifacts);
-- :mod:`repro.analysis.semcheck` — an AST *semantic* checker
-  (``python -m repro semcheck``) for hazards that replay perfectly and
-  compute the wrong number: mixed time/energy units (inferred from
-  ``_us``/``_ms``/``_ns`` name suffixes, see
-  :mod:`repro.analysis.unit_types`) and broken resource
+- :mod:`repro.analysis.lint` — an AST linter for the hazard patterns
+  that have actually broken replay here (wall-clock reads, global
+  RNGs, ``id()``-derived keys, process-global counters, unordered
+  iteration feeding artifacts);
+- :mod:`repro.analysis.semcheck` — an AST *semantic* checker for
+  hazards that replay perfectly and compute the wrong number: mixed
+  time/energy units (inferred from ``_us``/``_ms``/``_ns`` name
+  suffixes, see :mod:`repro.analysis.unit_types`) and broken resource
   request/release protocol across yields and exception edges;
-- :mod:`repro.analysis.sanitize` — a runtime sanitizer
-  (``REPRO_SANITIZE=1`` / ``--sanitize``) that checks engine invariants
-  while a simulation runs, plus a dual-run sha256 digest mode that
-  replays a scenario twice and pinpoints the first divergent event.
+- :mod:`repro.analysis.archcheck` — a whole-program checker for
+  import layering against ``.repro-arch.toml``, cross-process safety
+  and hazard escape across modules;
+- :mod:`repro.analysis.racecheck` — a flow-sensitive race checker for
+  the cooperative DES: yield-point atomicity, Resource locksets,
+  interrupt safety and lock ordering.
 
-``docs/determinism.md`` catalogues the hazard classes and the
-suppression workflow.
+They share their plumbing in :mod:`repro.analysis.common` (findings,
+pragmas, the per-module driver and the flow walker) and their
+baselines in :mod:`repro.analysis.baseline`. At run time,
+:mod:`repro.analysis.sanitize` (``REPRO_SANITIZE=1`` / ``--sanitize``)
+checks engine invariants while a simulation runs, plus a dual-run
+sha256 digest mode that replays a scenario twice and pinpoints the
+first divergent event.
+
+``docs/analysis.md`` and ``docs/determinism.md`` catalogue the rules
+and the suppression workflow.
 """
 
 from repro.analysis.baseline import (
@@ -30,13 +41,12 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
+from repro.analysis.common import Finding, LintError
 from repro.analysis.lint import (
     DEFAULT_CONFIG,
     RULES,
     RULES_BY_ID,
-    Finding,
     LintConfig,
-    LintError,
     lint_paths,
     lint_source,
     render_findings,

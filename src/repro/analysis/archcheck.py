@@ -941,37 +941,23 @@ def archcheck_paths(paths, contract=None, contract_path=None):
     findings.extend(_check_nondet_escape(modules, contract))
     findings.extend(_check_blocking(modules, contract))
 
+    allows = {}
+    for info in modules.values():
+        line_allows, file_allows, pragma_errors = _parse_pragmas(
+            info.source, info.display, applicable=set(RULES_BY_ID)
+        )
+        allows[info.display] = (line_allows, file_allows)
+        errors.extend(pragma_errors)
     kept = []
-    by_display = {info.display: info for info in modules.values()}
-    pragma_cache = {}
     for finding in sorted(
         findings, key=lambda f: (f.path, f.line, f.rule, f.col)
     ):
-        info = by_display.get(finding.path)
-        if info is None:
-            kept.append(finding)
-            continue
-        if finding.path not in pragma_cache:
-            allows = _parse_pragmas(
-                info.source, info.display, applicable=set(RULES_BY_ID)
-            )
-            pragma_cache[finding.path] = allows
-            errors.extend(allows[2])
-        line_allows, file_allows, _ = pragma_cache[finding.path]
+        line_allows, file_allows = allows.get(finding.path, ({}, ()))
         if finding.rule in file_allows:
             continue
         if finding.rule in line_allows.get(finding.line, ()):
             continue
         kept.append(finding)
-
-    # Pragma errors in files without findings must still surface.
-    for info in modules.values():
-        if info.display in pragma_cache:
-            continue
-        _, _, pragma_errors = _parse_pragmas(
-            info.source, info.display, applicable=set(RULES_BY_ID)
-        )
-        errors.extend(pragma_errors)
 
     unique = {}
     for finding in kept:

@@ -12,7 +12,8 @@ import json
 import pathlib
 from dataclasses import dataclass
 
-from repro.analysis.lint import RULES_BY_ID, LintError
+from repro.analysis.common import LintError
+from repro.analysis.lint import RULES_BY_ID
 
 #: Default baseline filenames, looked up in the working directory.
 BASELINE_NAME = ".repro-lint-baseline.json"

@@ -42,13 +42,11 @@ from dataclasses import dataclass
 
 from repro.analysis.common import (
     AliasResolver,
-    Finding,
-    LintError,
     RuleInfo,
+    check_module,
     check_paths,
     matches_any,
 )
-from repro.analysis.common import parse_pragmas as _parse_pragmas
 from repro.analysis.common import render_findings as _render_findings
 
 
@@ -191,23 +189,12 @@ _TRACKED_ROOTS = ("time", "datetime", "random", "itertools", "numpy")
 
 _COUNTER_NAME = re.compile(r"^_?(ids?|counters?|count|seq|sequence|next_\w+)$")
 
-def parse_pragmas(source, path):
-    """Extract this checker's suppression pragmas from ``source``.
-
-    Thin wrapper over :func:`repro.analysis.common.parse_pragmas`,
-    scoped so only lint rules apply here while semcheck rule ids remain
-    valid (inert) in pragmas and vice versa.
-    """
-    return _parse_pragmas(source, path, applicable=set(RULES_BY_ID))
-
-
 class _Analyzer(ast.NodeVisitor):
     """Single-pass rule engine over one module's AST."""
 
-    def __init__(self, path, config, resolved_path):
-        self.path = path
+    def __init__(self, sink, config, resolved_path):
+        self.sink = sink
         self.config = config
-        self.findings = []
         self._resolver = None
         self._parents = {}
         self._wallclock_allowed = matches_any(
@@ -225,19 +212,10 @@ class _Analyzer(ast.NodeVisitor):
                 self._parents[child] = node
         self._resolver = AliasResolver(tree, _TRACKED_ROOTS)
         self.visit(tree)
-        unique = {}
-        for finding in self.findings:
-            unique.setdefault(finding.key(), finding)
-        return [unique[key] for key in sorted(unique)]
 
     def _dotted(self, node):
         """Resolve a call target to a dotted path through import aliases."""
         return self._resolver.dotted(node)
-
-    def _flag(self, rule, node, message):
-        self.findings.append(
-            Finding(rule, self.path, node.lineno, node.col_offset, message)
-        )
 
     def _has_sorted_ancestor(self, node):
         current = self._parents.get(node)
@@ -264,7 +242,7 @@ class _Analyzer(ast.NodeVisitor):
 
     def _check_wallclock(self, node, dotted):
         if dotted in _WALLCLOCK_CALLS and not self._wallclock_allowed:
-            self._flag(
+            self.sink.flag(
                 "wall-clock",
                 node,
                 f"{dotted}() reads the host clock; simulation time must "
@@ -275,14 +253,14 @@ class _Analyzer(ast.NodeVisitor):
         if dotted.startswith("random."):
             if dotted == "random.Random":
                 if not node.args and not node.keywords:
-                    self._flag(
+                    self.sink.flag(
                         "global-random",
                         node,
                         "random.Random() without a seed draws from OS "
                         "entropy",
                     )
             elif dotted == "random.SystemRandom" or "." in dotted:
-                self._flag(
+                self.sink.flag(
                     "global-random",
                     node,
                     f"{dotted}() uses process-global random state",
@@ -290,14 +268,14 @@ class _Analyzer(ast.NodeVisitor):
         elif dotted.startswith("numpy.random."):
             leaf = dotted.rsplit(".", 1)[1]
             if leaf in _NUMPY_LEGACY:
-                self._flag(
+                self.sink.flag(
                     "global-random",
                     node,
                     f"{dotted}() uses numpy's legacy global generator",
                 )
             elif leaf in ("default_rng", "RandomState") and not node.args \
                     and not node.keywords:
-                self._flag(
+                self.sink.flag(
                     "global-random",
                     node,
                     f"{dotted}() without a seed draws from OS entropy",
@@ -305,7 +283,7 @@ class _Analyzer(ast.NodeVisitor):
 
     def _check_id(self, node, dotted):
         if dotted == "id" and len(node.args) == 1:
-            self._flag(
+            self.sink.flag(
                 "id-as-key",
                 node,
                 "id(...) is an interpreter address, different every run",
@@ -313,7 +291,7 @@ class _Analyzer(ast.NodeVisitor):
 
     def _check_count(self, node, dotted):
         if dotted == "itertools.count":
-            self._flag(
+            self.sink.flag(
                 "module-counter",
                 node,
                 "itertools.count() state is shared by every simulation "
@@ -329,7 +307,7 @@ class _Analyzer(ast.NodeVisitor):
             and not node.keywords
             and not self._has_sorted_ancestor(node)
         ):
-            self._flag(
+            self.sink.flag(
                 "unsorted-items",
                 node,
                 ".items() order reaches an exported artifact without "
@@ -339,7 +317,7 @@ class _Analyzer(ast.NodeVisitor):
     def _check_set_materialized(self, node, dotted):
         if dotted in ("list", "tuple") and len(node.args) == 1 \
                 and self._is_set_expr(node.args[0]):
-            self._flag(
+            self.sink.flag(
                 "set-iteration",
                 node.args[0],
                 f"{dotted}() over a set materializes hash order",
@@ -354,7 +332,7 @@ class _Analyzer(ast.NodeVisitor):
 
     def _check_set_iteration(self, iter_node):
         if self._is_set_expr(iter_node):
-            self._flag(
+            self.sink.flag(
                 "set-iteration",
                 iter_node,
                 "iteration order over a set depends on hashes and "
@@ -379,7 +357,7 @@ class _Analyzer(ast.NodeVisitor):
 
     def visit_ExceptHandler(self, node):
         if node.type is None:
-            self._flag(
+            self.sink.flag(
                 "bare-except",
                 node,
                 "bare except: swallows everything, including injected "
@@ -399,7 +377,7 @@ class _Analyzer(ast.NodeVisitor):
                 for stmt in node.body
             )
             if "BaseException" in names and not reraises:
-                self._flag(
+                self.sink.flag(
                     "bare-except",
                     node,
                     "except BaseException without re-raise swallows "
@@ -407,7 +385,7 @@ class _Analyzer(ast.NodeVisitor):
                 )
             elif names and names <= {"Exception", "BaseException"} \
                     and swallows:
-                self._flag(
+                self.sink.flag(
                     "bare-except",
                     node,
                     "except Exception: pass silently drops failures",
@@ -433,7 +411,7 @@ class _Analyzer(ast.NodeVisitor):
             and isinstance(value.func, ast.Attribute)
             and value.func.attr == "begin"
         ):
-            self._flag(
+            self.sink.flag(
                 "unpaired-span",
                 node,
                 "begin() result discarded; the span can never be "
@@ -458,7 +436,7 @@ class _Analyzer(ast.NodeVisitor):
                 if _COUNTER_NAME.match(target.id) and isinstance(
                     value, (ast.List, ast.Dict, ast.Set)
                 ):
-                    self._flag(
+                    self.sink.flag(
                         "module-counter",
                         stmt,
                         f"class-level mutable {target.id!r} is shared by "
@@ -476,21 +454,10 @@ def lint_source(source, path, config=None, resolved_path=None):
     """
     config = config or DEFAULT_CONFIG
     resolved_path = resolved_path or path
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [], [
-            LintError(path, exc.lineno or 0, f"syntax error: {exc.msg}")
-        ]
-    line_allows, file_allows, errors = parse_pragmas(source, path)
-    analyzer = _Analyzer(path, config, resolved_path)
-    findings = [
-        finding
-        for finding in analyzer.run(tree)
-        if finding.rule not in file_allows
-        and finding.rule not in line_allows.get(finding.line, ())
-    ]
-    return findings, errors
+    return check_module(
+        source, path, RULES_BY_ID,
+        lambda tree, sink: _Analyzer(sink, config, resolved_path).run(tree),
+    )
 
 
 def lint_paths(paths, config=None):

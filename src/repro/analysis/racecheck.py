@@ -11,11 +11,12 @@ suspended. Such a bug replays bit-identically (the interleaving is
 deterministic per seed) and fails no invariant check; it just shifts
 the contention numbers the paper's Figs. 5-10 report.
 
-``python -m repro racecheck`` adapts classic dynamic-race machinery to
-this cooperative world, statically:
+``python -m repro check --tool racecheck`` adapts classic dynamic-race
+machinery to this cooperative world, statically:
 
 * **preemption points** are the ``yield``\\ s of a process-like
-  generator body (the same heuristic semcheck's protocol pass uses);
+  generator body (semcheck's heuristic, plus bodies that delegate
+  through ``yield from call()``: stages of a process);
 * **locksets** are :class:`~repro.sim.resources.Resource` grants held
   across those yields (``with res.request() as grant:`` or an explicit
   ``request()``/``release()`` pair) — a grant held continuously from
@@ -65,22 +66,17 @@ import ast
 from dataclasses import dataclass
 
 from repro.analysis.common import (
-    Finding,
-    LintError,
+    FlowWalker,
     RuleInfo,
+    check_module,
     check_paths,
-    display_path,
-    iter_python_files,
-    parse_pragmas,
+    handler_catches_interrupt,
+    has_own_yield,
+    is_request_call,
+    own_nodes,
+    process_like,
 )
 from repro.analysis.common import render_findings as _render_findings
-from repro.analysis.semcheck import (
-    _handler_catches_interrupt,
-    _has_own_yield,
-    _is_eventish,
-    _is_request_call,
-    _own_nodes,
-)
 
 RULES = (
     RuleInfo(
@@ -276,7 +272,7 @@ class _Scope:
             + ([args.kwarg] if args.kwarg else [])
         ):
             self.locals.add(param.arg)
-        for node in _own_nodes(func.body):
+        for node in own_nodes(func.body):
             if isinstance(node, ast.Global):
                 self.global_decls.update(node.names)
             elif isinstance(node, ast.Name) and isinstance(
@@ -325,33 +321,6 @@ def _iter_functions(tree):
     yield from visit(tree.body, None)
 
 
-def _process_like(func):
-    """Whether ``func`` looks like a DES process body (or a stage of
-    one reached through ``yield from``)."""
-    request_names = {
-        stmt.targets[0].id
-        for stmt in _own_nodes(func.body)
-        if isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-        and _is_request_call(stmt.value)
-    }
-    for node in _own_nodes(func.body):
-        if (
-            isinstance(node, ast.Yield)
-            and node.value is not None
-            and _is_eventish(node.value, request_names)
-        ):
-            return True
-        if isinstance(node, ast.YieldFrom) and isinstance(
-            node.value, ast.Call
-        ):
-            return True
-        if _is_request_call(node):
-            return True
-    return False
-
-
 class _ModuleModel:
     """The module's access table plus its analyzable process bodies."""
 
@@ -379,7 +348,7 @@ class _ModuleModel:
             scope = _Scope(func, cls, self.module_globals)
             is_init = cls is not None and func.name in _INIT_METHODS
             _AccessScan(self, func, func_id, scope, is_init).run()
-            if _has_own_yield(func) and _process_like(func):
+            if has_own_yield(func) and process_like(func, stages=True):
                 self.process_bodies.append((func, cls, func_id, scope))
 
     # -- queries ---------------------------------------------------------
@@ -426,14 +395,6 @@ class _AccessScan:
     def run(self):
         self._walk(self.func.body, locked=False)
 
-    def _record(self, root, path, kind, locked):
-        loc = self.scope.classify(root, path)
-        if loc is None:
-            return
-        self.model.accesses.append(
-            _Access(self.func_id, loc, kind, locked, self.is_init)
-        )
-
     def _walk(self, body, locked):
         for stmt in body:
             if isinstance(
@@ -442,25 +403,18 @@ class _AccessScan:
                 continue  # nested scopes scanned separately
             if isinstance(stmt, ast.With):
                 inner = locked or any(
-                    _is_request_call(item.context_expr)
+                    is_request_call(item.context_expr)
                     for item in stmt.items
                 )
                 for item in stmt.items:
-                    self._expr(item.context_expr, locked)
+                    self._scan(item.context_expr, locked)
                 self._walk(stmt.body, inner)
-            elif isinstance(stmt, ast.If):
-                self._expr(stmt.test, locked)
-                self._walk(stmt.body, locked)
-                self._walk(stmt.orelse, locked)
-            elif isinstance(stmt, (ast.While, ast.For)):
-                self._expr(
-                    stmt.test
-                    if isinstance(stmt, ast.While)
-                    else stmt.iter,
-                    locked,
-                )
+            elif isinstance(stmt, (ast.If, ast.While, ast.For)):
                 if isinstance(stmt, ast.For):
-                    self._targets([stmt.target], locked, "set")
+                    self._scan(stmt.iter, locked)
+                    self._scan(stmt.target, locked)
+                else:
+                    self._scan(stmt.test, locked)
                 self._walk(stmt.body, locked)
                 self._walk(stmt.orelse, locked)
             elif isinstance(stmt, ast.Try):
@@ -469,76 +423,23 @@ class _AccessScan:
                     self._walk(handler.body, locked)
                 self._walk(stmt.orelse, locked)
                 self._walk(stmt.finalbody, locked)
-            elif isinstance(stmt, ast.Assign):
-                self._expr(stmt.value, locked)
-                self._targets(stmt.targets, locked, "set")
             elif isinstance(stmt, ast.AnnAssign):
                 if stmt.value is not None:
-                    self._expr(stmt.value, locked)
-                    self._targets([stmt.target], locked, "set")
-            elif isinstance(stmt, ast.AugAssign):
-                self._expr(stmt.value, locked)
-                chain = _chain(stmt.target)
-                if chain is not None:
-                    self._record(*chain, "read", locked)
-                    self._record(*chain, "write", locked)
-            elif isinstance(stmt, ast.Delete):
-                self._targets(stmt.targets, locked, "del")
+                    self._scan(stmt.value, locked)
+                    self._scan(stmt.target, locked)
             else:
-                self._expr(stmt, locked)
+                self._scan(stmt, locked)
 
-    def _targets(self, targets, locked, _how):
-        for target in targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                self._targets(target.elts, locked, _how)
-                continue
-            chain = _chain(target)
-            if chain is not None:
-                self._record(*chain, "write", locked)
-            for slice_expr in _chain_subscript_slices(target):
-                self._expr(slice_expr, locked)
-
-    def _expr(self, node, locked):
-        if node is None:
-            return
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                   ast.Lambda)
-        ):
-            return
-        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Name)):
-            chain = _chain(node)
-            if chain is not None:
-                ctx = getattr(node, "ctx", None)
-                kind = (
-                    "write"
-                    if isinstance(ctx, (ast.Store, ast.Del))
-                    else "read"
-                )
-                self._record(*chain, kind, locked)
-                for slice_expr in _chain_subscript_slices(node):
-                    self._expr(slice_expr, locked)
-                return
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATORS
-            ):
-                chain = _chain(func.value)
-                if chain is not None:
-                    self._record(*chain, "write", locked)
-                else:
-                    self._expr(func.value, locked)
-            else:
-                self._expr(func, locked)
-            for arg in node.args:
-                self._expr(arg, locked)
-            for keyword in node.keywords:
-                self._expr(keyword.value, locked)
-            return
-        for child in ast.iter_child_nodes(node):
-            self._expr(child, locked)
+    def _scan(self, node, locked):
+        """Record the reads and writes of one simple statement."""
+        reads, writes, _yields = _collect_events(node)
+        for kind, accesses in (("read", reads), ("write", writes)):
+            for chain, *_where in accesses:
+                loc = self.scope.classify(*chain)
+                if loc is not None:
+                    self.model.accesses.append(
+                        _Access(self.func_id, loc, kind, locked, self.is_init)
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +453,9 @@ class _AccessScan:
 # write, and the shared-derived locals. Every yield marks all records
 # "crossed" (and "unprotected" when no enclosing try/finally or
 # Interrupted handler covers it); rule checks then reduce to record
-# flags at the second access. Branches are walked on copies and
-# merged conservatively (flags OR, locksets intersect).
+# flags at the second access. The shared FlowWalker walks branches on
+# copies; this pass merges them conservatively (flags OR, locksets
+# intersect).
 
 
 def _new_record(node, acqs, op="set"):
@@ -655,10 +557,11 @@ class _ModuleSink:
         self.inventory = []
 
 
-class _BodyPass:
+class _BodyPass(FlowWalker):
     """The flow-sensitive race walk over one process body."""
 
     def __init__(self, checker, func, func_id, scope, model, sink):
+        super().__init__()
         self.checker = checker
         self.func = func
         self.func_id = func_id
@@ -673,7 +576,7 @@ class _BodyPass:
             "live": {},  # acq_id -> lock token
             "handles": {},  # handle local name -> acq_id
         }
-        self.protect = 0  # enclosing try/finally or Interrupted handler
+        self.protect = 0  # enclosing try body with finally/Interrupted handler
         self.acq_seq = 0
         self.flagged = set()
         # Reads are only worth tracking for locations this body also
@@ -684,7 +587,7 @@ class _BodyPass:
 
     def _prescan_written(self):
         written = set()
-        for node in _own_nodes(self.func.body):
+        for node in own_nodes(self.func.body):
             chain = None
             if isinstance(node, (ast.Attribute, ast.Subscript)) and (
                 isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
@@ -708,7 +611,7 @@ class _BodyPass:
     # -- driver ----------------------------------------------------------
 
     def run(self):
-        self._walk_block(self.func.body)
+        self.walk_block(self.func.body)
 
     def _flag(self, rule, node, dedupe_key, message):
         key = (rule, dedupe_key)
@@ -717,69 +620,19 @@ class _BodyPass:
         self.flagged.add(key)
         self.checker.flag(rule, node, message)
 
-    # -- block walking ---------------------------------------------------
+    # -- control-flow hooks ----------------------------------------------
 
-    def _walk_block(self, body):
-        """Walk a statement list; True if it definitely terminates.
+    copy_state = staticmethod(_copy_state)
+    merge_states = staticmethod(_merge_states)
 
-        A block ending in ``raise``/``return``/``break``/``continue``
-        contributes no state to the join after its parent branch —
-        records from (say) an error path that raises must not pair
-        with writes on the fall-through path.
-        """
-        for stmt in body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if isinstance(stmt, ast.If):
-                if self._walk_if(stmt):
-                    return True
-            elif isinstance(stmt, (ast.While, ast.For)):
-                self._walk_loop(stmt)
-            elif isinstance(stmt, ast.Try):
-                self._walk_try(stmt)
-            elif isinstance(stmt, ast.With):
-                self._walk_with(stmt)
-            else:
-                self._exec(stmt)
-                if isinstance(
-                    stmt, (ast.Raise, ast.Return, ast.Break, ast.Continue)
-                ):
-                    return True
-        return False
-
-    def _walk_if(self, stmt):
-        self._exec(stmt.test)
-        entry = _copy_state(self.state)
-        then_done = self._walk_block(stmt.body)
-        then_state = self.state
-        self.state = entry
-        else_done = self._walk_block(stmt.orelse)
-        if then_done and else_done:
-            return True
-        if else_done:
-            self.state = then_state
-        elif not then_done:
-            self.state = _merge_states(then_state, self.state)
-        return False
-
-    def _walk_loop(self, stmt):
-        if isinstance(stmt, ast.While):
-            self._exec(stmt.test)
-        else:
-            self._exec(stmt.iter)
+    def enter_loop(self, stmt):
+        if isinstance(stmt, ast.For):
             self._bind_loop_targets(stmt.target)
-        entry = _copy_state(self.state)
-        # Two passes so state carried over the back edge is seen; the
-        # group map resets per pass so each iteration's writes — a
-        # complete, consistent update — don't pair across iterations.
-        for _round in range(2):
-            self.state["groups"] = {}
-            self._walk_block(stmt.body)
-            self.state = _merge_states(entry, self.state)
+
+    def begin_iteration(self):
+        # Each iteration's writes are a complete, consistent update, so
+        # the group map resets per pass instead of pairing across them.
         self.state["groups"] = {}
-        self._walk_block(stmt.orelse)
 
     def _bind_loop_targets(self, target):
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -788,38 +641,17 @@ class _BodyPass:
         elif isinstance(target, ast.Name):
             self.state["locals"].pop(target.id, None)
 
-    def _walk_try(self, stmt):
-        protected = bool(stmt.finalbody) or any(
-            _handler_catches_interrupt(handler)
-            for handler in stmt.handlers
-        )
-        entry = _copy_state(self.state)
-        if protected:
-            self.protect += 1
-        self._walk_block(stmt.body)
-        if protected:
-            self.protect -= 1
-        body_state = _copy_state(self.state)
-        self._walk_block(stmt.orelse)
-        after = self.state
-        for handler in stmt.handlers:
-            # A handler can run after any prefix of the body.
-            self.state = _merge_states(
-                _copy_state(entry), _copy_state(body_state)
-            )
-            self._walk_block(handler.body)
-            after = _merge_states(after, self.state)
-        self.state = after
-        if stmt.finalbody:
-            self.protect += 1
-            self._walk_block(stmt.finalbody)
-            self.protect -= 1
+    def protect_try(self, stmt, delta):
+        if stmt.finalbody or any(
+            handler_catches_interrupt(handler) for handler in stmt.handlers
+        ):
+            self.protect += delta
 
-    def _walk_with(self, stmt):
+    def enter_with(self, stmt):
         acquired = []
         for item in stmt.items:
             context = item.context_expr
-            if _is_request_call(context):
+            if is_request_call(context):
                 token = self._lock_token(context)
                 for held in self.state["live"].values():
                     self.sink.pairs.setdefault(
@@ -834,10 +666,12 @@ class _BodyPass:
                         self.acq_seq
                     )
             else:
-                self._exec(context)
+                self.transfer(context)
                 if isinstance(item.optional_vars, ast.Name):
                     self.state["locals"].pop(item.optional_vars.id, None)
-        self._walk_block(stmt.body)
+        return acquired
+
+    def exit_with(self, stmt, acquired):
         for acq in acquired:
             self.state["live"].pop(acq, None)
         self.state["handles"] = {
@@ -858,9 +692,7 @@ class _BodyPass:
 
     # -- one simple statement --------------------------------------------
 
-    def _exec(self, stmt):
-        if stmt is None:
-            return
+    def transfer(self, stmt):
         reads, writes, yields = _collect_events(stmt)
         # Explicit request()/release() handle protocol.
         release_handles = _released_handles(stmt)
@@ -914,7 +746,7 @@ class _BodyPass:
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
             and isinstance(stmt.targets[0], ast.Name)
-            and _is_request_call(stmt.value)
+            and is_request_call(stmt.value)
         ):
             return None
         token = self._lock_token(stmt.value)
@@ -940,7 +772,7 @@ class _BodyPass:
                     "locks": sorted(set(self.state["live"].values())),
                 }
             )
-        unprotected = self.protect == 0
+        unprotected = self.protect == 0 and not self.finally_depth
         for table in ("reads", "writes", "locals"):
             for record in self.state[table].values():
                 record["crossed"] = True
@@ -1173,24 +1005,6 @@ def _released_handles(stmt):
 # ---------------------------------------------------------------------------
 
 
-class _Checker:
-    """Shared flag sink: de-dupes by (path, line, rule)."""
-
-    def __init__(self, path):
-        self.path = path
-        self.findings = []
-        self._seen = set()
-
-    def flag(self, rule, node, message):
-        finding = Finding(
-            rule, self.path, node.lineno, node.col_offset, message
-        )
-        if finding.key() in self._seen:
-            return
-        self._seen.add(finding.key())
-        self.findings.append(finding)
-
-
 def _flag_lock_inversions(checker, sink):
     for (first, second), (node, func_id) in sorted(
         sink.pairs.items(),
@@ -1214,33 +1028,16 @@ def _flag_lock_inversions(checker, sink):
 
 def _analyze(source, path):
     """Full module analysis: ``(findings, errors, sink)``."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return (
-            [],
-            [LintError(path, exc.lineno or 0, f"syntax error: {exc.msg}")],
-            _ModuleSink(),
-        )
-    line_allows, file_allows, errors = parse_pragmas(
-        source, path, applicable=set(RULES_BY_ID)
-    )
-    checker = _Checker(path)
-    model = _ModuleModel(tree)
-    sink = _ModuleSink()
-    for func, _cls, func_id, scope in model.process_bodies:
-        _BodyPass(checker, func, func_id, scope, model, sink).run()
-    _flag_lock_inversions(checker, sink)
-    findings = sorted(
-        (
-            finding
-            for finding in checker.findings
-            if finding.rule not in file_allows
-            and finding.rule not in line_allows.get(finding.line, ())
-        ),
-        key=lambda finding: finding.key(),
-    )
-    return findings, errors, sink
+    facts = _ModuleSink()
+
+    def analyze(tree, sink):
+        model = _ModuleModel(tree)
+        for func, _cls, func_id, scope in model.process_bodies:
+            _BodyPass(sink, func, func_id, scope, model, facts).run()
+        _flag_lock_inversions(sink, facts)
+
+    findings, errors = check_module(source, path, RULES_BY_ID, analyze)
+    return findings, errors, facts
 
 
 def racecheck_source(source, path, resolved_path=None):
@@ -1268,18 +1065,13 @@ def lock_inventory(paths):
     "what is ever held across a suspension?".
     """
     records = []
-    errors = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text()
-        except OSError as exc:
-            errors.append(LintError(str(file_path), 0, f"unreadable: {exc}"))
-            continue
-        display = display_path(file_path)
-        _findings, file_errors, sink = _analyze(source, display)
-        errors.extend(file_errors)
-        for row in sink.inventory:
-            records.append({"path": display, **row})
+
+    def inventory(source, display, _resolved):
+        _findings, errors, facts = _analyze(source, display)
+        records.extend({"path": display, **row} for row in facts.inventory)
+        return [], errors
+
+    _findings, errors = check_paths(paths, inventory)
     records.sort(key=lambda row: (row["path"], row["line"]))
     return records, errors
 

@@ -26,24 +26,14 @@ Commands
     Record a named scenario with full instrumentation, print the
     self-time rollup, and export Chrome trace-event JSON for
     chrome://tracing / Perfetto (see docs/tracing.md).
-``lint``
-    Run the determinism linter over the source tree (see
-    docs/determinism.md). Exit 1 on findings, 2 on configuration
-    errors (unknown rule ids, stale baseline entries).
-``semcheck``
-    Run the semantic checker: unit-suffix consistency (``_us`` vs
-    ``_ms`` arithmetic, bare ``* 1000`` conversions) and the resource
-    request/release protocol across yields and exception edges. Same
-    pragma/baseline/exit-code contract as ``lint``.
-``archcheck``
-    Whole-program architecture analysis: layering contract
-    (``.repro-arch.toml``), surface-package discipline, cross-process
-    safety, nondeterminism escape, and blocking calls in DES process
-    bodies (see docs/analysis.md). Same contract as ``lint``.
 ``check``
-    Umbrella over lint + semcheck + archcheck with a merged exit code
-    — the single command CI runs; ``--sanitize TARGET`` folds
-    dual-run replay digests in as well.
+    Static analysis: the determinism linter, the semantic checker
+    (units and the resource request/release protocol), the
+    whole-program architecture checker (``.repro-arch.toml``) and the
+    yield-point race checker over the same paths, or only each
+    ``--tool NAME``. Exit 1 on findings, 2 on configuration errors
+    (unknown rule ids, stale baseline entries); ``--sanitize TARGET``
+    folds dual-run replay digests in as well (see docs/analysis.md).
 ``sanitize``
     Replay a scenario, experiment, or small fleet twice with the
     runtime sanitizer attached and diff the event-stream sha256
@@ -312,11 +302,10 @@ def _checker_outcome(paths, check_paths, known_rules, default_baseline,
                      baseline=None, strict=False):
     """Run one checker plus its baseline handling; no printing.
 
-    The compute half shared by the single-tool commands and the
-    ``check`` umbrella. Returns a dict with the post-baseline
-    ``findings``, the ``errors`` (configuration problems: exit 2), the
-    ``stale_warnings`` (human-readable; promoted into ``errors`` when
-    ``strict``), and the ``suppressed`` count.
+    Returns a dict with the post-baseline ``findings``, the ``errors``
+    (configuration problems: exit 2), the ``stale_warnings``
+    (human-readable; promoted into ``errors`` when ``strict``), and the
+    ``suppressed`` count.
     """
     from repro.analysis import baseline as baseline_mod
     from repro.analysis.common import LintError
@@ -351,19 +340,16 @@ def _checker_outcome(paths, check_paths, known_rules, default_baseline,
         "errors": errors,
         "stale_warnings": stale_warnings,
         "suppressed": len(findings) - len(new_findings),
-        "raw_findings": findings,
     }
 
 
 def _print_outcome(outcome, render, clean_label, as_json, diag):
-    """The printing half of one checker run; returns the exit code."""
-    from repro.analysis.common import findings_to_json
+    """The printing half of one checker run; returns the exit code.
 
-    if as_json:
-        import json
-
-        print(json.dumps(findings_to_json(outcome["findings"]), indent=2))
-    else:
+    In json mode the findings go into the caller's payload, so only the
+    warnings and errors are printed, to ``diag``.
+    """
+    if not as_json:
         for line in render(outcome["findings"]):
             print(line)
     for message in outcome["stale_warnings"]:
@@ -373,30 +359,49 @@ def _print_outcome(outcome, render, clean_label, as_json, diag):
     if outcome["errors"]:
         return 2
     if outcome["findings"]:
-        print(
-            f"\n{len(outcome['findings'])} finding(s); suppress a true "
-            "positive with `# repro: allow[rule-id]`, see "
-            "docs/analysis.md",
-            file=diag,
-        )
+        if not as_json:
+            print(
+                f"\n{len(outcome['findings'])} finding(s); suppress a "
+                "true positive with `# repro: allow[rule-id]`, see "
+                "docs/analysis.md",
+                file=diag,
+            )
         return 1
     suppressed = outcome["suppressed"]
-    print(
-        f"{clean_label}: clean"
-        + (f" ({suppressed} baselined)" if suppressed else ""),
-        file=diag,
-    )
+    if not as_json:
+        print(
+            f"{clean_label}: clean"
+            + (f" ({suppressed} baselined)" if suppressed else ""),
+            file=diag,
+        )
     return 0
+
+
+def _print_inventory(args, records, errors, render, summary):
+    """Print a ``--list-*`` inventory; json mode prints the records."""
+    as_json = args.format == "json"
+    diag = sys.stderr if as_json else sys.stdout
+    if as_json:
+        import json
+
+        print(json.dumps(records, indent=2))
+    else:
+        for record in records:
+            print(render(record))
+        print(summary, file=diag)
+    for error in errors:
+        print(error.render(), file=diag)
+    return 2 if errors else 0
 
 
 def _list_pragmas(args):
     """The ``--list-pragmas`` audit: one merged, deduplicated table.
 
-    Rows are keyed by ``file:line`` — the same table whichever checker
-    (or the ``check`` umbrella) asks for it, since pragmas are a
-    shared namespace. Each rule is annotated with the checker that
-    owns it; a rule no tool recognizes is flagged inline and is an
-    error, exactly as it would be during a check run.
+    Rows are keyed by ``file:line`` — the same table whichever tools
+    ``check`` runs, since pragmas are a shared namespace. Each rule is
+    annotated with the checker that owns it; a rule no tool recognizes
+    is flagged inline and is an error, exactly as it would be during a
+    check run.
     """
     from repro.analysis.common import inventory_pragmas, rule_owners
 
@@ -422,94 +427,54 @@ def _list_pragmas(args):
             "unrecognized": unrecognized,
         })
 
-    as_json = args.format == "json" or getattr(args, "json", False)
-    diag = sys.stderr if as_json else sys.stdout
-    if as_json:
-        import json
-
-        print(json.dumps(rows, indent=2))
-    else:
-        for row in rows:
-            rules = ", ".join(row["rules"])
-            line = (
-                f"{row['path']}:{row['line']}: {row['kind']}[{rules}]"
+    def render(row):
+        rules = ", ".join(row["rules"])
+        line = f"{row['path']}:{row['line']}: {row['kind']}[{rules}]"
+        if row["tools"]:
+            line += f" ({', '.join(row['tools'])})"
+        if row["unrecognized"]:
+            line += (
+                " — unrecognized by every tool: "
+                + ", ".join(row["unrecognized"])
             )
-            if row["tools"]:
-                line += f" ({', '.join(row['tools'])})"
-            if row["unrecognized"]:
-                line += (
-                    " — unrecognized by every tool: "
-                    + ", ".join(row["unrecognized"])
-                )
-            print(line)
-        print(f"{len(rows)} pragma(s)", file=diag)
-    for error in errors:
-        print(error.render(), file=diag)
-    return 2 if errors else 0
+        return line
 
-
-def _run_checker(args, check_paths, render, known_rules, default_baseline,
-                 clean_label):
-    """Shared driver for the single-checker commands.
-
-    Every checker speaks the same contract: pragma suppression, an
-    acknowledged-findings baseline (``--check`` makes stale entries
-    errors), a shared ``--format=json`` findings payload, and exit
-    codes 0 (clean) / 1 (findings) / 2 (the run cannot be trusted).
-    """
-    from repro.analysis import baseline as baseline_mod
-
-    if getattr(args, "list_pragmas", False):
-        return _list_pragmas(args)
-    paths = _default_paths(args)
-
-    if args.write_baseline:
-        findings, errors = check_paths(paths)
-        target = args.baseline or default_baseline
-        count = baseline_mod.write_baseline(target, findings)
-        print(f"wrote {target} ({count} acknowledged findings)")
-        for error in errors:
-            print(error.render())
-        return 2 if errors else 0
-
-    if getattr(args, "update_baseline", False):
-        findings, errors = check_paths(paths)
-        target = args.baseline or default_baseline
-        kept, pruned, prune_errors = baseline_mod.prune_baseline(
-            target, findings, known_rules=known_rules
-        )
-        errors = list(errors) + list(prune_errors)
-        for entry in pruned:
-            print(f"pruned {entry.path}:{entry.line} [{entry.rule}]")
-        print(
-            f"{target}: pruned {len(pruned)} stale entr"
-            f"{'y' if len(pruned) == 1 else 'ies'}, "
-            f"{len(kept)} kept"
-        )
-        for error in errors:
-            print(error.render())
-        return 2 if errors else 0
-
-    outcome = _checker_outcome(
-        paths, check_paths, known_rules, default_baseline,
-        baseline=args.baseline, strict=args.check,
+    return _print_inventory(
+        args, rows, errors, render, f"{len(rows)} pragma(s)"
     )
-    as_json = args.format == "json" or getattr(args, "json", False)
-    # In json mode stdout carries the findings array and nothing else;
-    # diagnostics move to stderr so the output stays machine-readable.
-    diag = sys.stderr if as_json else sys.stdout
-    return _print_outcome(outcome, render, clean_label, as_json, diag)
+
+
+def _list_locks(args):
+    """The ``--list-locks`` inventory: every yield made holding a grant."""
+    from repro.analysis.racecheck import lock_inventory
+
+    records, errors = lock_inventory(_default_paths(args))
+    return _print_inventory(
+        args, records, errors,
+        lambda record: (
+            f"{record['path']}:{record['line']}: {record['function']} "
+            f"yields holding [{', '.join(record['locks'])}]"
+        ),
+        f"{len(records)} yield(s) while holding",
+    )
+
+
+#: The static checkers ``check`` runs, in report order.
+CHECK_TOOLS = ("lint", "semcheck", "archcheck", "racecheck")
 
 
 def _checker_table(args):
-    """(name, check_paths, render, known_rules, baseline, label) rows."""
+    """(name, check_paths, render, known_rules, baseline, label) rows.
+
+    The entry points are looked up on their modules at call time, so a
+    wrapper installed on ``lint_paths`` (say) sees every run.
+    """
     from repro.analysis import archcheck as archcheck_mod
     from repro.analysis import baseline as baseline_mod
     from repro.analysis import lint as lint_mod
     from repro.analysis import racecheck as racecheck_mod
     from repro.analysis import semcheck as semcheck_mod
 
-    contract_path = getattr(args, "contract", None)
     return (
         (
             "lint", lint_mod.lint_paths, lint_mod.render_findings,
@@ -524,7 +489,7 @@ def _checker_table(args):
         (
             "archcheck",
             lambda paths: archcheck_mod.archcheck_paths(
-                paths, contract_path=contract_path
+                paths, contract_path=args.contract
             ),
             archcheck_mod.render_findings, archcheck_mod.RULES_BY_ID,
             baseline_mod.ARCHCHECK_BASELINE_NAME, "archcheck",
@@ -537,126 +502,82 @@ def _checker_table(args):
     )
 
 
-def _cmd_lint(args):
-    from repro.analysis import baseline as baseline_mod
-    from repro.analysis import lint as lint_mod
-
-    return _run_checker(
-        args,
-        check_paths=lint_mod.lint_paths,
-        render=lint_mod.render_findings,
-        known_rules=lint_mod.RULES_BY_ID,
-        default_baseline=baseline_mod.BASELINE_NAME,
-        clean_label="determinism lint",
-    )
-
-
-def _cmd_semcheck(args):
-    from repro.analysis import baseline as baseline_mod
-    from repro.analysis import semcheck as semcheck_mod
-
-    return _run_checker(
-        args,
-        check_paths=semcheck_mod.semcheck_paths,
-        render=semcheck_mod.render_findings,
-        known_rules=semcheck_mod.RULES_BY_ID,
-        default_baseline=baseline_mod.SEMCHECK_BASELINE_NAME,
-        clean_label="semcheck",
-    )
-
-
-def _cmd_archcheck(args):
-    from repro.analysis import archcheck as archcheck_mod
+def _edit_baseline(args, paths, tool):
+    """``--write-baseline`` / ``--update-baseline`` for one tool."""
     from repro.analysis import baseline as baseline_mod
 
-    return _run_checker(
-        args,
-        check_paths=lambda paths: archcheck_mod.archcheck_paths(
-            paths, contract_path=args.contract
-        ),
-        render=archcheck_mod.render_findings,
-        known_rules=archcheck_mod.RULES_BY_ID,
-        default_baseline=baseline_mod.ARCHCHECK_BASELINE_NAME,
-        clean_label="archcheck",
-    )
-
-
-def _cmd_racecheck(args):
-    from repro.analysis import baseline as baseline_mod
-    from repro.analysis import racecheck as racecheck_mod
-
-    if getattr(args, "list_locks", False):
-        records, errors = racecheck_mod.lock_inventory(_default_paths(args))
-        as_json = args.format == "json"
-        diag = sys.stderr if as_json else sys.stdout
-        if as_json:
-            import json
-
-            print(json.dumps(records, indent=2))
-        else:
-            for record in records:
-                locks = ", ".join(record["locks"])
-                print(
-                    f"{record['path']}:{record['line']}: "
-                    f"{record['function']} yields holding [{locks}]"
-                )
-            print(f"{len(records)} yield(s) while holding", file=diag)
-        for error in errors:
-            print(error.render(), file=diag)
-        return 2 if errors else 0
-
-    return _run_checker(
-        args,
-        check_paths=racecheck_mod.racecheck_paths,
-        render=racecheck_mod.render_findings,
-        known_rules=racecheck_mod.RULES_BY_ID,
-        default_baseline=baseline_mod.RACECHECK_BASELINE_NAME,
-        clean_label="racecheck",
-    )
+    _name, check_paths, _render, known_rules, default_baseline, _label = tool
+    findings, errors = check_paths(paths)
+    target = args.baseline or default_baseline
+    if args.write_baseline:
+        count = baseline_mod.write_baseline(target, findings)
+        print(f"wrote {target} ({count} acknowledged findings)")
+    else:
+        kept, pruned, prune_errors = baseline_mod.prune_baseline(
+            target, findings, known_rules=known_rules
+        )
+        errors = list(errors) + list(prune_errors)
+        for entry in pruned:
+            print(f"pruned {entry.path}:{entry.line} [{entry.rule}]")
+        print(
+            f"{target}: pruned {len(pruned)} stale entr"
+            f"{'y' if len(pruned) == 1 else 'ies'}, "
+            f"{len(kept)} kept"
+        )
+    for error in errors:
+        print(error.render())
+    return 2 if errors else 0
 
 
 def _cmd_check(args):
-    """Umbrella: lint + semcheck + archcheck + racecheck (+ dual-runs).
+    """The static checkers over the same paths, with a merged exit code.
 
-    One command for CI: every static checker over the same paths, a
-    merged exit code (worst of the parts), and in ``--format=json`` a
-    single object keyed by tool.
+    Runs every tool, or each one named by ``--tool``. They share one
+    contract: pragma suppression, an acknowledged-findings baseline
+    (``--check`` makes stale entries errors), a ``--format=json``
+    object keyed by tool, and exit codes 0 (clean) / 1 (findings) / 2
+    (the run cannot be trusted), the worst over the tools run.
+    ``--sanitize`` folds dual-run replay digests in as well.
     """
-    if getattr(args, "list_pragmas", False):
+    if args.list_pragmas:
         return _list_pragmas(args)
-    if args.write_baseline or args.update_baseline or args.baseline:
+    if args.list_locks:
+        return _list_locks(args)
+    tools = [
+        tool for tool in _checker_table(args)
+        if not args.tool or tool[0] in args.tool
+    ]
+    if len(tools) != 1 and (
+        args.write_baseline or args.update_baseline or args.baseline
+    ):
         print(
-            "error: check runs every tool against its own default "
-            "baseline; use the per-tool commands to write, prune, or "
-            "point at one"
+            "error: a baseline belongs to one tool; name exactly one "
+            "--tool to write, prune, or point at one"
         )
         return 2
+    paths = _default_paths(args)
+    if args.write_baseline or args.update_baseline:
+        return _edit_baseline(args, paths, tools[0])
     from repro.analysis.common import findings_to_json
 
-    paths = _default_paths(args)
     as_json = args.format == "json"
+    # In json mode stdout carries the findings object and nothing else;
+    # diagnostics move to stderr so the output stays machine-readable.
     diag = sys.stderr if as_json else sys.stdout
     payload = {}
     exit_code = 0
     for name, check_paths, render, known_rules, default_baseline, label in (
-        _checker_table(args)
+        tools
     ):
         outcome = _checker_outcome(
             paths, check_paths, known_rules, default_baseline,
-            strict=args.check,
+            baseline=args.baseline, strict=args.check,
         )
         if as_json:
             payload[name] = findings_to_json(outcome["findings"])
-            for message in outcome["stale_warnings"]:
-                print(f"warning: {message}", file=diag)
-            for error in outcome["errors"]:
-                print(error.render(), file=diag)
-            code = (
-                2 if outcome["errors"] else 1 if outcome["findings"] else 0
-            )
         else:
             print(f"== {name} ==")
-            code = _print_outcome(outcome, render, label, False, diag)
+        code = _print_outcome(outcome, render, label, as_json, diag)
         exit_code = max(exit_code, code)
 
     if args.sanitize:
@@ -762,43 +683,6 @@ def _runs_parameter(experiment_id):
     import inspect
 
     return inspect.signature(REGISTRY[experiment_id]).parameters
-
-
-def _add_checker_arguments(parser, baseline_name):
-    """Arguments shared by every static-checker command."""
-    parser.add_argument(
-        "paths", nargs="*", default=None, metavar="PATH",
-        help="files or directories to check (default: the installed "
-             "repro package)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline of acknowledged findings (default: "
-             f"{baseline_name} if present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="acknowledge all current findings into the baseline",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="prune stale baseline entries (acknowledged findings that "
-             "no longer exist); never adds entries",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI mode: stale baseline entries are errors",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="findings output format (json is shared across the "
-             "checkers for tooling)",
-    )
-    parser.add_argument(
-        "--list-pragmas", action="store_true",
-        help="inventory every `# repro: allow[...]` suppression under "
-             "the checked paths instead of running rules",
-    )
 
 
 def build_parser():
@@ -1042,54 +926,55 @@ def build_parser():
         help="attach the runtime sanitizer and print its audit",
     )
 
-    lint_parser = sub.add_parser(
-        "lint",
-        help="determinism lint over the source tree "
-             "(docs/determinism.md)",
+    check_parser = sub.add_parser(
+        "check",
+        help="static analysis: lint + semcheck + archcheck + racecheck "
+             "over the same paths with a merged exit code "
+             "(docs/analysis.md)",
     )
-    _add_checker_arguments(lint_parser, ".repro-lint-baseline.json")
-    lint_parser.add_argument(
-        "--json", action="store_true",
-        help="alias for --format=json (kept for tooling compatibility)",
+    check_parser.add_argument(
+        "paths", nargs="*", default=None, metavar="PATH",
+        help="files or directories to check (default: the installed "
+             "repro package)",
     )
-
-    semcheck_parser = sub.add_parser(
-        "semcheck",
-        help="semantic checks: unit consistency and resource "
-             "request/release protocol (docs/determinism.md)",
+    check_parser.add_argument(
+        "--tool", action="append", default=None, choices=CHECK_TOOLS,
+        help="run only this checker (repeatable; default: all four)",
     )
-    _add_checker_arguments(semcheck_parser, ".repro-semcheck-baseline.json")
-
-    archcheck_parser = sub.add_parser(
-        "archcheck",
-        help="whole-program layering and cross-process safety "
-             "analysis against .repro-arch.toml (docs/analysis.md)",
+    check_parser.add_argument(
+        "--baseline", default=None, metavar="PATH",
+        help="baseline of acknowledged findings for the one --tool "
+             "(default: each tool's .repro-<tool>-baseline.json if "
+             "present)",
     )
-    _add_checker_arguments(archcheck_parser, ".repro-archcheck-baseline.json")
-    archcheck_parser.add_argument(
-        "--contract", default=None, metavar="PATH",
-        help="layering contract (default: .repro-arch.toml in the "
-             "working directory)",
+    check_parser.add_argument(
+        "--write-baseline", action="store_true",
+        help="acknowledge all current findings of the one --tool into "
+             "its baseline",
     )
-
-    racecheck_parser = sub.add_parser(
-        "racecheck",
-        help="yield-point atomicity and lockset analysis of the "
-             "cooperative DES process bodies (docs/analysis.md)",
+    check_parser.add_argument(
+        "--update-baseline", action="store_true",
+        help="prune stale entries (acknowledged findings that no longer "
+             "exist) from the one --tool's baseline; never adds entries",
     )
-    _add_checker_arguments(racecheck_parser, ".repro-racecheck-baseline.json")
-    racecheck_parser.add_argument(
+    check_parser.add_argument(
+        "--check", action="store_true",
+        help="CI mode: stale baseline entries are errors",
+    )
+    check_parser.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="output format (json: one object keyed by tool)",
+    )
+    check_parser.add_argument(
+        "--list-pragmas", action="store_true",
+        help="inventory every `# repro: allow[...]` suppression under "
+             "the checked paths instead of running rules",
+    )
+    check_parser.add_argument(
         "--list-locks", action="store_true",
         help="inventory every yield executed while a Resource grant is "
              "held instead of running rules",
     )
-
-    check_parser = sub.add_parser(
-        "check",
-        help="umbrella: lint + semcheck + archcheck + racecheck over "
-             "the same paths with a merged exit code (docs/analysis.md)",
-    )
-    _add_checker_arguments(check_parser, "<per-tool defaults>")
     check_parser.add_argument(
         "--contract", default=None, metavar="PATH",
         help="archcheck layering contract (default: .repro-arch.toml)",
@@ -1139,10 +1024,6 @@ _HANDLERS = {
     "chaos": _cmd_chaos,
     "serve": _cmd_serve,
     "trace": _cmd_trace,
-    "lint": _cmd_lint,
-    "semcheck": _cmd_semcheck,
-    "archcheck": _cmd_archcheck,
-    "racecheck": _cmd_racecheck,
     "check": _cmd_check,
     "sanitize": _cmd_sanitize,
     "report": _cmd_report,

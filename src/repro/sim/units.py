@@ -6,8 +6,8 @@ nanoseconds, and the energy model meters microjoules. These helpers
 keep every conversion explicit and named for its direction instead of
 scattering ``* 1000`` / ``/ 1000.0`` literals through the code — a
 bare 1000 does not say which way it converts, and the semcheck
-``magic-conversion`` rule (``python -m repro semcheck``) blocks it
-outside this module.
+``magic-conversion`` rule (``python -m repro check --tool semcheck``)
+blocks it outside this module.
 
 Helpers are written so each replaces its literal form with the *same*
 floating-point operation (``to_ms(x)`` is exactly ``x / 1000.0``), so

@@ -487,16 +487,19 @@ def test_cli_exit_codes_and_baseline_round_trip(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
 
     assert cli.main([
-        "archcheck", str(root), "--contract", str(contract_path),
+        "check", "--tool", "archcheck", str(root),
+        "--contract", str(contract_path),
     ]) == 1
     assert "[sim-blocking-call]" in capsys.readouterr().out
 
     assert cli.main([
-        "archcheck", str(root), "--contract", str(contract_path),
+        "check", "--tool", "archcheck", str(root),
+        "--contract", str(contract_path),
         "--baseline", str(baseline), "--write-baseline",
     ]) == 0
     assert cli.main([
-        "archcheck", str(root), "--contract", str(contract_path),
+        "check", "--tool", "archcheck", str(root),
+        "--contract", str(contract_path),
         "--baseline", str(baseline), "--check",
     ]) == 0
 
@@ -507,7 +510,8 @@ def test_cli_exit_codes_and_baseline_round_trip(tmp_path, capsys):
     )
     capsys.readouterr()
     assert cli.main([
-        "archcheck", str(root), "--contract", str(contract_path),
+        "check", "--tool", "archcheck", str(root),
+        "--contract", str(contract_path),
         "--baseline", str(baseline), "--check",
     ]) == 2
 
@@ -515,12 +519,16 @@ def test_cli_exit_codes_and_baseline_round_trip(tmp_path, capsys):
 def test_cli_json_format_matches_the_checker_family(tmp_path, capsys):
     root, contract_path = _write_bad_program(tmp_path)
     assert cli.main([
-        "archcheck", str(root), "--contract", str(contract_path),
+        "check", "--tool", "archcheck", str(root),
+        "--contract", str(contract_path),
         "--format=json",
     ]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["rule"] == "sim-blocking-call"
-    assert set(payload[0]) == {"rule", "path", "line", "col", "message"}
+    assert list(payload) == ["archcheck"]
+    assert payload["archcheck"][0]["rule"] == "sim-blocking-call"
+    assert set(payload["archcheck"][0]) == {
+        "rule", "path", "line", "col", "message"
+    }
 
 
 def test_check_umbrella_merges_exit_codes(tmp_path, capsys):
@@ -561,6 +569,28 @@ def test_check_umbrella_rejects_baseline_flags(tmp_path, capsys):
         "check", str(root), "--contract", str(contract_path),
         "--write-baseline",
     ]) == 2
+    # A baseline belongs to exactly one tool.
+    for flag in ("--write-baseline", "--update-baseline"):
+        assert cli.main([
+            "check", "--tool", "lint", "--tool", "archcheck", str(root),
+            "--contract", str(contract_path), flag,
+        ]) == 2
+    assert cli.main([
+        "check", "--tool", "lint", "--tool", "archcheck", str(root),
+        "--contract", str(contract_path),
+        "--baseline", str(tmp_path / "baseline.json"),
+    ]) == 2
+
+
+def test_check_runs_only_the_named_tools_in_report_order(tmp_path, capsys):
+    root, contract_path = _write_bad_program(tmp_path)
+    assert cli.main([
+        "check", "--tool", "racecheck", "--tool", "archcheck", str(root),
+        "--contract", str(contract_path), "--format=json",
+    ]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["archcheck", "racecheck"]
+    assert payload["archcheck"][0]["rule"] == "sim-blocking-call"
 
 
 def test_list_pragmas_inventories_suppressions(tmp_path, capsys):
@@ -570,14 +600,17 @@ def test_list_pragmas_inventories_suppressions(tmp_path, capsys):
         "T0 = time.time()  # repro: allow[wall-clock]\n"
         "# repro: allow-file[sim-blocking-call]\n"
     )
-    assert cli.main(["archcheck", str(target), "--list-pragmas"]) == 0
+    assert cli.main([
+        "check", "--tool", "archcheck", str(target), "--list-pragmas",
+    ]) == 0
     out = capsys.readouterr().out
     assert "allow[wall-clock]" in out
     assert "allow-file[sim-blocking-call]" in out
     assert "2 pragma(s)" in out
 
     assert cli.main([
-        "lint", str(target), "--list-pragmas", "--format=json",
+        "check", "--tool", "lint", str(target), "--list-pragmas",
+        "--format=json",
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [record["kind"] for record in payload] == ["allow", "allow-file"]

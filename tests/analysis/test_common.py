@@ -223,20 +223,23 @@ def test_cli_update_baseline_prunes_and_reports(tmp_path, capsys):
     target.write_text("import time\nT0 = time.time()\n")
     path = tmp_path / "baseline.json"
     assert cli.main([
-        "lint", str(target), "--baseline", str(path), "--write-baseline",
+        "check", "--tool", "lint", str(target),
+        "--baseline", str(path), "--write-baseline",
     ]) == 0
     capsys.readouterr()
 
     # Nothing stale yet: the file is left alone.
     assert cli.main([
-        "lint", str(target), "--baseline", str(path), "--update-baseline",
+        "check", "--tool", "lint", str(target),
+        "--baseline", str(path), "--update-baseline",
     ]) == 0
     assert "pruned 0 stale entries, 1 kept" in capsys.readouterr().out
 
     # Fix the hazard; the acknowledged entry is now stale and pruned.
     target.write_text("VALUE = 1\n")
     assert cli.main([
-        "lint", str(target), "--baseline", str(path), "--update-baseline",
+        "check", "--tool", "lint", str(target),
+        "--baseline", str(path), "--update-baseline",
     ]) == 0
     out = capsys.readouterr().out
     assert "[wall-clock]" in out

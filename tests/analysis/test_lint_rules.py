@@ -164,36 +164,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("import time\nT0 = time.time()\n")
     baseline = tmp_path / "baseline.json"
 
-    assert cli.main(["lint", str(bad)]) == 1
+    assert cli.main(["check", "--tool", "lint", str(bad)]) == 1
     assert "[wall-clock]" in capsys.readouterr().out
 
-    assert cli.main(
-        ["lint", str(bad), "--baseline", str(baseline), "--write-baseline"]
-    ) == 0
-    assert cli.main(
-        ["lint", str(bad), "--baseline", str(baseline), "--check"]
-    ) == 0
+    assert cli.main([
+        "check", "--tool", "lint", str(bad),
+        "--baseline", str(baseline), "--write-baseline",
+    ]) == 0
+    assert cli.main([
+        "check", "--tool", "lint", str(bad),
+        "--baseline", str(baseline), "--check",
+    ]) == 0
 
     # The hazard is fixed: the baseline entry is now stale, which is a
     # warning normally but a config error (exit 2) under --check.
     bad.write_text("T0 = 1\n")
     capsys.readouterr()
-    assert cli.main(["lint", str(bad), "--baseline", str(baseline)]) == 0
+    assert cli.main([
+        "check", "--tool", "lint", str(bad), "--baseline", str(baseline),
+    ]) == 0
     assert "stale" in capsys.readouterr().out
-    assert cli.main(
-        ["lint", str(bad), "--baseline", str(baseline), "--check"]
-    ) == 2
+    assert cli.main([
+        "check", "--tool", "lint", str(bad),
+        "--baseline", str(baseline), "--check",
+    ]) == 2
 
 
 def test_cli_unknown_pragma_rule_exits_2(tmp_path):
     bad = tmp_path / "typo.py"
     bad.write_text("X = 1  # repro: allow[wall-clok]\n")
-    assert cli.main(["lint", str(bad)]) == 2
+    assert cli.main(["check", "--tool", "lint", str(bad)]) == 2
 
 
 def test_cli_json_output(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nT0 = time.time()\n")
-    assert cli.main(["lint", str(bad), "--json"]) == 1
+    assert cli.main([
+        "check", "--tool", "lint", str(bad), "--format=json",
+    ]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["rule"] == "wall-clock"
+    assert payload["lint"][0]["rule"] == "wall-clock"

@@ -24,9 +24,11 @@ PLAIN_PATH = "repo/src/repro/sim/fixture.py"
 # fixture stem -> exact finding rules, in report order.
 EXPECTED = {
     "atomicity_violation_bad": ["atomicity-violation"],
+    "atomicity_violation_bad_yield_from": ["atomicity-violation"],
     "atomicity_violation_ok_lock": [],
     "atomicity_violation_ok_private": [],
     "atomicity_violation_ok_reread": [],
+    "atomicity_violation_ok_yield_from": [],
     "interrupt_unsafe_balance_bad": ["interrupt-unsafe-update"],
     "interrupt_unsafe_balance_ok_finally": [],
     "interrupt_unsafe_update_bad": ["interrupt-unsafe-update"],
@@ -193,15 +195,16 @@ def test_cli_exit_codes_and_baseline_round_trip(tmp_path, capsys):
     target = _write_bad_module(tmp_path)
     baseline = tmp_path / "baseline.json"
 
-    assert cli.main(["racecheck", str(target)]) == 1
+    assert cli.main(["check", "--tool", "racecheck", str(target)]) == 1
     assert "[atomicity-violation]" in capsys.readouterr().out
 
     assert cli.main([
-        "racecheck", str(target),
+        "check", "--tool", "racecheck", str(target),
         "--baseline", str(baseline), "--write-baseline",
     ]) == 0
     assert cli.main([
-        "racecheck", str(target), "--baseline", str(baseline), "--check",
+        "check", "--tool", "racecheck", str(target),
+        "--baseline", str(baseline), "--check",
     ]) == 0
 
     # Fixed in-tree: the acknowledged entry is now stale and --check
@@ -210,28 +213,37 @@ def test_cli_exit_codes_and_baseline_round_trip(tmp_path, capsys):
         (FIXTURES / "atomicity_violation_ok_reread.py").read_text())
     capsys.readouterr()
     assert cli.main([
-        "racecheck", str(target), "--baseline", str(baseline), "--check",
+        "check", "--tool", "racecheck", str(target),
+        "--baseline", str(baseline), "--check",
     ]) == 2
 
 
 def test_cli_json_format_matches_the_checker_family(tmp_path, capsys):
     target = _write_bad_module(tmp_path)
-    assert cli.main(["racecheck", str(target), "--format=json"]) == 1
+    assert cli.main([
+        "check", "--tool", "racecheck", str(target), "--format=json",
+    ]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["rule"] == "atomicity-violation"
-    assert set(payload[0]) == {"rule", "path", "line", "col", "message"}
+    assert list(payload) == ["racecheck"]
+    assert payload["racecheck"][0]["rule"] == "atomicity-violation"
+    assert set(payload["racecheck"][0]) == {
+        "rule", "path", "line", "col", "message"
+    }
 
 
 def test_cli_list_locks_prints_the_inventory(tmp_path, capsys):
     target = tmp_path / "transfer.py"
     target.write_text((FIXTURES / "lock_order_inversion_ok.py").read_text())
-    assert cli.main(["racecheck", str(target), "--list-locks"]) == 0
+    assert cli.main([
+        "check", "--tool", "racecheck", str(target), "--list-locks",
+    ]) == 0
     out = capsys.readouterr().out
     assert "Transfer.move_one yields holding [bus_a, bus_b]" in out
     assert "4 yield(s) while holding" in out
 
     assert cli.main([
-        "racecheck", str(target), "--list-locks", "--format=json",
+        "check", "--tool", "racecheck", str(target), "--list-locks",
+        "--format=json",
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 4

@@ -54,6 +54,16 @@ def test_every_rule_has_a_fix_it_hint(rule):
     assert semcheck.RULES_BY_ID[rule].hint in rendered
 
 
+def test_recursive_generator_with_yield_from_is_not_a_process():
+    # Racecheck treats `yield from call()` as a process stage; semcheck
+    # must not, or this plain generator's tuple yields would be flagged.
+    name = "yield_non_event_ok_yield_from.py"
+    findings, errors = semcheck.semcheck_source(
+        (FIXTURES / name).read_text(), name, resolved_path=PLAIN_PATH
+    )
+    assert findings == [] and errors == []
+
+
 def test_every_rule_has_both_fixtures():
     for rule in semcheck.RULES_BY_ID:
         stem = rule.replace("-", "_")
@@ -283,22 +293,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("def f(total_us):\n    return total_us / 1000.0\n")
     baseline = tmp_path / "baseline.json"
 
-    assert cli.main(["semcheck", str(bad)]) == 1
+    assert cli.main(["check", "--tool", "semcheck", str(bad)]) == 1
     assert "[magic-conversion]" in capsys.readouterr().out
 
-    assert cli.main(
-        ["semcheck", str(bad), "--baseline", str(baseline),
-         "--write-baseline"]
-    ) == 0
-    assert cli.main(
-        ["semcheck", str(bad), "--baseline", str(baseline), "--check"]
-    ) == 0
+    assert cli.main([
+        "check", "--tool", "semcheck", str(bad),
+        "--baseline", str(baseline), "--write-baseline",
+    ]) == 0
+    assert cli.main([
+        "check", "--tool", "semcheck", str(bad),
+        "--baseline", str(baseline), "--check",
+    ]) == 0
 
     bad.write_text("X = 1\n")
     capsys.readouterr()
-    assert cli.main(
-        ["semcheck", str(bad), "--baseline", str(baseline), "--check"]
-    ) == 2
+    assert cli.main([
+        "check", "--tool", "semcheck", str(bad),
+        "--baseline", str(baseline), "--check",
+    ]) == 2
 
 
 def test_cli_json_format_is_shared_between_checkers(tmp_path, capsys):
@@ -309,10 +321,14 @@ def test_cli_json_format_is_shared_between_checkers(tmp_path, capsys):
         "def f(total_us):\n"
         "    return total_us / 1000.0\n"
     )
-    assert cli.main(["semcheck", str(bad), "--format=json"]) == 1
-    semcheck_payload = json.loads(capsys.readouterr().out)
-    assert cli.main(["lint", str(bad), "--format=json"]) == 1
-    lint_payload = json.loads(capsys.readouterr().out)
+    assert cli.main([
+        "check", "--tool", "semcheck", str(bad), "--format=json",
+    ]) == 1
+    semcheck_payload = json.loads(capsys.readouterr().out)["semcheck"]
+    assert cli.main([
+        "check", "--tool", "lint", str(bad), "--format=json",
+    ]) == 1
+    lint_payload = json.loads(capsys.readouterr().out)["lint"]
     assert semcheck_payload[0]["rule"] == "magic-conversion"
     assert lint_payload[0]["rule"] == "wall-clock"
     # Identical schema: same keys in both checkers' findings.
@@ -321,9 +337,14 @@ def test_cli_json_format_is_shared_between_checkers(tmp_path, capsys):
     }
 
 
-def test_cli_legacy_json_flag_still_works(tmp_path, capsys):
+def test_cli_json_keys_each_requested_tool(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nT0 = time.time()\n")
-    assert cli.main(["lint", str(bad), "--json"]) == 1
+    assert cli.main([
+        "check", "--tool", "semcheck", "--tool", "lint", str(bad),
+        "--format=json",
+    ]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["rule"] == "wall-clock"
+    assert list(payload) == ["lint", "semcheck"]
+    assert payload["lint"][0]["rule"] == "wall-clock"
+    assert payload["semcheck"] == []
