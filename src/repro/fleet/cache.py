@@ -79,7 +79,9 @@ class ResultCache:
         )
         try:
             with handle:
-                json.dump(payload, handle)
+                # One write: ``json.dump`` streams many small chunks
+                # through the text wrapper for the same bytes.
+                handle.write(json.dumps(payload))
             os.replace(handle.name, path)
         except BaseException:
             try:

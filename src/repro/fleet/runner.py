@@ -124,8 +124,9 @@ def run_fleet(population=None, sessions=64, workers=1, seed=0,
         the same journal resumes instead of re-simulating.
     session_timeout_s:
         Per-session wall-clock deadline enforced by the supervisor when
-        ``workers > 1``; a hung worker is killed and the session
-        requeued with capped exponential backoff.
+        ``workers > 1``, counted from when a worker picks the session
+        up; a hung worker is killed and the session requeued with
+        capped exponential backoff.
     max_crashes:
         Worker losses (crashes + deadline kills) a single session may
         cause before it is quarantined as a structured error.
@@ -147,12 +148,16 @@ def run_fleet(population=None, sessions=64, workers=1, seed=0,
     if verify_cache is None:
         verify_cache = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
     specs = expand_population(population, sessions, seed=seed)
+    # One sha256 per spec: the store, the journal and the run key all
+    # share it.
+    digest_by_id = {spec.session_id: spec.digest() for spec in specs}
     cache = ResultCache(cache_dir) if cache_dir is not None else None
 
     by_id = {}
     pending = []
     for spec in specs:
-        payload = cache.get(spec.digest()) if cache is not None else None
+        digest = digest_by_id[spec.session_id]
+        payload = cache.get(digest) if cache is not None else None
         if payload is not None and verify_cache:
             fresh = simulate_session_payload(spec.to_dict())
             if session_payload_digest(fresh) != session_payload_digest(
@@ -160,7 +165,7 @@ def run_fleet(population=None, sessions=64, workers=1, seed=0,
             ):
                 raise CacheDigestError(
                     f"cached result for session {spec.session_id} (key "
-                    f"{spec.digest()[:12]}...) does not match a fresh "
+                    f"{digest[:12]}...) does not match a fresh "
                     "simulation; evict the entry or fix the determinism "
                     "regression"
                 )
@@ -175,11 +180,12 @@ def run_fleet(population=None, sessions=64, workers=1, seed=0,
     run_journal = None
     if journal is not None:
         run_journal = RunJournal(
-            journal, run_key_for(specs, session_retries=session_retries)
+            journal,
+            run_key_for(digest_by_id.values(), session_retries=session_retries),
         )
         resumed = []
         for spec in pending:
-            payload = run_journal.recorded.get(spec.digest())
+            payload = run_journal.recorded.get(digest_by_id[spec.session_id])
             if payload is not None:
                 by_id[spec.session_id] = SessionResult.from_dict(payload)
                 journal_hits += 1
@@ -201,10 +207,11 @@ def run_fleet(population=None, sessions=64, workers=1, seed=0,
         # Streamed per completed session: a crash one session later
         # loses nothing that already finished.
         spec = spec_by_id[session_id]
+        digest = digest_by_id[session_id]
         if "error" not in payload and cache is not None:
-            cache.put(spec.digest(), payload)
+            cache.put(digest, payload)
         if run_journal is not None:
-            run_journal.record(spec.digest(), payload)
+            run_journal.record(digest, payload)
         if on_session is not None:
             on_session(spec, payload)
 

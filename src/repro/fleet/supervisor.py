@@ -11,7 +11,14 @@ docs/faults.md), applied to our own execution substrate:
 * sessions are submitted **individually** and finish independently —
   there is no retry barrier, so one slow or repeatedly-failing session
   never blocks the others;
-* a per-session **wall-clock deadline** turns a hung worker into a
+* the pool is kept **two sessions deep per worker**: the executor
+  already holds a worker's next payload when its current session
+  finishes, so the worker never idles through the parent's round trip
+  (receive the result, write the store and journal, submit). In-flight
+  sessions therefore include *prefetched* ones that no worker has
+  picked up yet;
+* a per-session **wall-clock deadline**, started when a worker picks
+  the session up (never at submission), turns a hung worker into a
   killed pool plus a requeued session (capped exponential backoff);
 * ``BrokenProcessPool`` is survived by **respawning** the pool and
   requeueing only the sessions that were actually in flight;
@@ -29,13 +36,24 @@ whatever crash/kill/timeout interleaving occurred — the same contract
 the dual-run replay digests already guard.
 
 Crash attribution: when the pool breaks, the supervisor cannot know
-which in-flight session killed the worker, so every one of them takes a
-strike and becomes a *suspect*. Suspects re-run **isolated** (alone in
-the pool), which makes every later strike exactly attributable: an
-innocent session simply completes on its isolated re-run, while a
-poisoned spec keeps crashing alone until it hits the quarantine bound.
+which in-flight session killed the worker — nor reliably tell a
+prefetched session from one a worker picked up a moment ago — so every
+unfinished submission takes a strike and becomes a *suspect*. Suspects
+re-run **isolated** (alone in the pool), which makes every later strike
+exactly attributable: an innocent session simply completes on its
+isolated re-run, while a poisoned spec keeps crashing alone until it
+hits the quarantine bound.
 A deadline kill, by contrast, names its culprit — only the expired
-session is struck; other in-flight sessions are requeued strike-free.
+session is struck; other in-flight sessions, running or prefetched,
+are requeued strike-free. While a suspect is in flight nothing else is
+submitted, so isolation is unaffected by the prefetch depth.
+
+Deadlines and pickup: the executor feeds workers in submission order,
+so the first ``workers`` unfinished submissions are exactly the ones
+running. Only those carry a start stamp; a prefetched session is
+stamped once the parent has seen a running one finish, which is no
+earlier than the moment its worker picked it up. A queued session
+therefore never spends its deadline waiting behind another.
 
 This module runs on the *host* side of the process boundary: deadlines
 and backoff are wall-clock by design (the simulated clock cannot
@@ -45,6 +63,7 @@ linter's ``wallclock_allow`` list.
 
 import collections
 import hashlib
+import itertools
 import json
 import pathlib
 import time
@@ -68,6 +87,10 @@ JOURNAL_VERSION = 1
 #: Longest the wait loop blocks before re-checking deadlines and
 #: backoff eligibility (host seconds).
 _TICK_S = 0.05
+
+#: Clean sessions kept submitted per worker: one running plus one
+#: queued in the executor, ready the moment the worker frees up.
+_DEPTH_PER_WORKER = 2
 
 
 @dataclass
@@ -111,7 +134,7 @@ class _Entry:
 
     __slots__ = (
         "key", "payload", "strikes", "crashes", "timeouts",
-        "sim_attempts", "not_before",
+        "sim_attempts", "not_before", "started",
     )
 
     def __init__(self, key, payload):
@@ -125,6 +148,9 @@ class _Entry:
         self.sim_attempts = 0
         #: Earliest host time this entry may be (re)submitted.
         self.not_before = 0.0
+        #: Host time a worker picked the current submission up;
+        #: ``None`` while it is queued in the executor.
+        self.started = None
 
     @property
     def suspect(self):
@@ -174,8 +200,9 @@ class Supervisor:
     session_retries:
         Extra attempts for a task whose result carries ``"error"``.
     session_timeout_s:
-        Per-session wall-clock deadline; ``None`` disables deadline
-        kills (a hung worker then hangs the run, as before).
+        Per-session wall-clock deadline, counted from when a worker
+        picks the session up; ``None`` disables deadline kills (a hung
+        worker then hangs the run, as before).
     max_crashes:
         Strikes (worker deaths + deadline kills) before a session is
         quarantined as a structured :data:`QUARANTINE_ERROR` result.
@@ -261,6 +288,7 @@ class Supervisor:
                 if not inflight:
                     self._sleep_until_eligible(queue)
                     continue
+                self._stamp_running(inflight)
                 done, _pending = wait(
                     set(inflight),
                     timeout=self._wait_timeout(inflight),
@@ -268,7 +296,7 @@ class Supervisor:
                 )
                 broken = False
                 for future in done:
-                    entry, _submitted = inflight.pop(future)
+                    entry = inflight.pop(future)
                     try:
                         payload = future.result()
                     except BrokenExecutor:
@@ -297,10 +325,10 @@ class Supervisor:
 
     def _submit_eligible(self, pool, queue, inflight):
         """Top the pool up, clean sessions first, suspects isolated."""
-        if any(entry.suspect for entry, _ in inflight.values()):
+        if any(entry.suspect for entry in inflight.values()):
             return  # an isolated suspect owns the pool right now
         now = self._clock()
-        while len(inflight) < self.workers:
+        while len(inflight) < _DEPTH_PER_WORKER * self.workers:
             entry = self._pop_eligible(queue, now, suspects=False)
             if entry is None:
                 break
@@ -318,9 +346,21 @@ class Supervisor:
         return None
 
     def _submit(self, pool, inflight, entry):
-        future = pool.submit(self.task, entry.payload)
-        inflight[future] = (entry, self._clock())
+        entry.started = None
+        inflight[pool.submit(self.task, entry.payload)] = entry
         self.stats.submitted += 1
+
+    def _stamp_running(self, inflight):
+        """Start the deadline of every session a worker has picked up.
+
+        The executor feeds workers in submission order, and ``inflight``
+        keeps that order, so its first ``workers`` entries are the ones
+        running; the rest wait unstamped in the executor's queue.
+        """
+        now = self._clock()
+        for entry in itertools.islice(inflight.values(), self.workers):
+            if entry.started is None:
+                entry.started = now
 
     def _sleep_until_eligible(self, queue):
         now = self._clock()
@@ -333,8 +373,9 @@ class Supervisor:
             return _TICK_S
         now = self._clock()
         soonest = min(
-            submitted + self.session_timeout_s
-            for _entry, submitted in inflight.values()
+            entry.started + self.session_timeout_s
+            for entry in inflight.values()
+            if entry.started is not None
         )
         return max(0.0, min(_TICK_S, soonest - now))
 
@@ -344,20 +385,22 @@ class Supervisor:
         now = self._clock()
         return [
             future
-            for future, (_entry, submitted) in inflight.items()
-            if now - submitted >= self.session_timeout_s
+            for future, entry in inflight.items()
+            if entry.started is not None
+            and now - entry.started >= self.session_timeout_s
         ]
 
     def _recover(self, pool, results, on_result, queue, inflight,
                  broken, expired):
         """Kill + respawn the pool; requeue only what was in flight."""
         expired = set(expired)
-        for future, (entry, _submitted) in list(inflight.items()):
+        for future, entry in list(inflight.items()):
             if future in expired:
                 self._strike(results, on_result, queue, entry, crash=False)
             elif broken:
-                # A shared crash: the culprit is unknown, so every
-                # in-flight session takes a strike and re-runs isolated.
+                # A shared crash: the culprit is unknown, and a prefetched
+                # session cannot be told from one just picked up, so every
+                # unfinished submission takes a strike and re-runs isolated.
                 self._strike(results, on_result, queue, entry, crash=True)
             else:
                 # Innocent victim of a deadline kill: requeue free.
@@ -430,17 +473,18 @@ def _error_payload(entry, error_type, message, **extra):
 # -- run journal --------------------------------------------------------
 
 
-def run_key_for(specs, session_retries=1):
+def run_key_for(digests, session_retries=1):
     """Content hash identifying one fleet run's exact work list.
 
-    Two invocations with the same population, sessions, seed, and
-    retry bound produce the same key, so a journal written by an
-    interrupted run is recognized — and one written for different work
-    is discarded rather than trusted.
+    ``digests`` are the run's :meth:`SessionSpec.digest` values in
+    session order. Two invocations with the same population, sessions,
+    seed, and retry bound produce the same key, so a journal written by
+    an interrupted run is recognized — and one written for different
+    work is discarded rather than trusted.
     """
     canonical = json.dumps(
         {
-            "digests": [spec.digest() for spec in specs],
+            "digests": list(digests),
             "session_retries": session_retries,
         },
         sort_keys=True,
@@ -489,7 +533,13 @@ class RunJournal:
         self._handle = open(self.path, "a")
 
     def _scan(self):
-        """Parse whole lines; returns (byte offset after last good, lines)."""
+        """Parse whole lines; returns (byte offset after last good, lines).
+
+        The first line must be a JSON object (the header) and every later
+        one an object with ``digest`` and ``payload``; the first line
+        that is not — torn, corrupt, or valid JSON of the wrong shape —
+        is the truncation point.
+        """
         try:
             data = self.path.read_bytes()
         except (FileNotFoundError, OSError):
@@ -502,9 +552,14 @@ class RunJournal:
             if newline == -1:
                 break
             try:
-                lines.append(json.loads(data[start:newline]))
+                line = json.loads(data[start:newline])
             except ValueError:
                 break  # torn or corrupt line: everything after is void
+            if not isinstance(line, dict) or (
+                lines and not ("digest" in line and "payload" in line)
+            ):
+                break  # parses, but is no header or record
+            lines.append(line)
             good_end = newline + 1
             start = newline + 1
         return good_end, lines

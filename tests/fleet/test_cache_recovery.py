@@ -72,3 +72,19 @@ def test_fleet_recovers_from_corrupted_cache_entries(tmp_path):
     assert (
         [r.to_dict() for r in first] == [r.to_dict() for r in second]
     )
+
+
+def test_entry_bytes_are_exactly_json_dumps(tmp_path):
+    # The store format is pinned: an entry is ``json.dumps(payload)``
+    # byte for byte, so existing caches stay valid across writers.
+    from repro.fleet.population import expand_population, paper_population
+    from repro.fleet.session import simulate_session_payload
+
+    spec = expand_population(paper_population().with_runs(2), 1, seed=0)[0]
+    cache = ResultCache(tmp_path / "cache")
+    for key, payload in (
+        (spec.digest(), simulate_session_payload(spec.to_dict())),
+        ("ab" + "0" * 62, {"nested": [1.5, None, True, "µs"]}),
+    ):
+        path = cache.put(key, payload)
+        assert path.read_bytes() == json.dumps(payload).encode("ascii")

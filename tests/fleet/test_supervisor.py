@@ -12,6 +12,8 @@ import json
 import os
 import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -62,6 +64,11 @@ def _sim_error_task(payload):
             "spec": dict(payload), "runs": [],
             "error": {"type": "FaultInjected", "message": "deterministic"},
         }
+    return _ok_task(payload)
+
+
+def _slow_task(payload):
+    time.sleep(0.7)
     return _ok_task(payload)
 
 
@@ -153,6 +160,81 @@ def test_sim_errors_retry_individually_without_blocking_others():
     assert supervisor.stats.timeouts == 0
 
 
+def test_queued_sessions_are_not_killed_before_pickup():
+    # Six 0.7 s sessions on two workers: the prefetched third and
+    # fourth start at ~0.7 s and finish at ~1.4 s. Their 1.0 s deadline
+    # must run from pickup; stamped at submission they would expire.
+    items = _items(6)
+    supervisor = Supervisor(
+        workers=2, task=_slow_task, session_timeout_s=1.0
+    )
+    results = supervisor.run(items)
+    assert results == _expected(items)
+    assert supervisor.stats.timeouts == 0
+    assert supervisor.stats.respawns == 0
+
+
+class _RecordingPool:
+    """Thread-backed pool handle logging what is unfinished at each submit.
+
+    Threads, like pool workers, take submissions in FIFO order, so the
+    supervisor drives it exactly as it drives a process pool. Each log
+    entry is the set of ``(key, attempt)`` submissions of this pool not
+    yet finished, the new one included.
+    """
+
+    def __init__(self, workers, log, attempts):
+        self.executor = ThreadPoolExecutor(max_workers=workers)
+        self.log = log
+        self.attempts = attempts
+        self.submitted = []
+
+    def submit(self, task, payload):
+        key = payload["x"]
+        attempt = self.attempts.get(key, 0)
+        self.attempts[key] = attempt + 1
+        future = self.executor.submit(task, payload)
+        self.submitted.append(((key, attempt), future))
+        self.log.append(frozenset(
+            tag for tag, pending in self.submitted if not pending.done()
+        ))
+        return future
+
+    def kill(self):
+        self.executor.shutdown(wait=False, cancel_futures=True)
+
+    def close(self):
+        self.executor.shutdown(wait=True, cancel_futures=True)
+
+
+def test_clean_depth_is_two_per_worker_and_suspects_run_alone():
+    workers = 2
+    crashed = []
+
+    def task(payload):
+        if payload["victim"] and not crashed:
+            crashed.append(payload["x"])
+            raise BrokenProcessPool("worker died")
+        time.sleep(0.02)
+        return _ok_task(payload)
+
+    log, attempts = [], {}
+    items = _items(10, victim=0)
+    supervisor = Supervisor(
+        workers=workers, task=task, backoff_base_s=0.01,
+        pool_factory=lambda size: _RecordingPool(size, log, attempts),
+    )
+    assert supervisor.run(items) == _expected(items)
+    assert supervisor.stats.crashes >= 1
+    clean = [entry for entry in log if all(a == 0 for _, a in entry)]
+    suspect = [entry for entry in log if any(a > 0 for _, a in entry)]
+    # Clean sessions fill the pool to exactly twice its size ...
+    assert max(len(entry) for entry in clean) == 2 * workers
+    # ... and every struck session re-ran alone in the pool.
+    assert suspect, "the crash must leave suspects to re-run"
+    assert all(len(entry) == 1 for entry in suspect)
+
+
 def test_serial_and_pooled_results_are_identical(tmp_path):
     items = _items(6, victim=4, flag=tmp_path / "killed")
     serial = Supervisor(workers=1, task=_kill_once_task)
@@ -194,6 +276,28 @@ def test_run_journal_truncates_torn_tail(tmp_path):
     assert [line["digest"] for line in lines[1:]] == ["d1", "d3"]
 
 
+@pytest.mark.parametrize(
+    "bad_line", ['{"foo": 1}', "123", '["digest"]'],
+    ids=["dict-without-record-keys", "number", "list"],
+)
+def test_run_journal_truncates_valid_json_that_is_not_a_record(
+    tmp_path, bad_line
+):
+    path = tmp_path / "run.jsonl"
+    with RunJournal(path, "key-a") as journal:
+        journal.record("d1", {"spec": {"x": 1}, "runs": []})
+    with open(path, "a") as handle:
+        handle.write(bad_line + "\n")
+        handle.write(json.dumps({"digest": "d2", "payload": {}}) + "\n")
+    with RunJournal(path, "key-a") as journal:
+        assert set(journal.recorded) == {"d1"}
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines == [
+        {"journal": JOURNAL_VERSION, "run_key": "key-a"},
+        {"digest": "d1", "payload": {"spec": {"x": 1}, "runs": []}},
+    ]
+
+
 def test_run_journal_discards_foreign_run(tmp_path):
     path = tmp_path / "run.jsonl"
     with RunJournal(path, "key-a") as journal:
@@ -205,9 +309,11 @@ def test_run_journal_discards_foreign_run(tmp_path):
 def test_run_key_covers_work_list_and_retry_bound():
     specs = expand_population(paper_population(), 4, seed=0)
     other = expand_population(paper_population(), 4, seed=1)
-    assert run_key_for(specs) == run_key_for(specs)
-    assert run_key_for(specs) != run_key_for(other)
-    assert run_key_for(specs) != run_key_for(specs, session_retries=2)
+    digests = [spec.digest() for spec in specs]
+    other = [spec.digest() for spec in other]
+    assert run_key_for(digests) == run_key_for(digests)
+    assert run_key_for(digests) != run_key_for(other)
+    assert run_key_for(digests) != run_key_for(digests, session_retries=2)
 
 
 def test_interrupted_fleet_resumes_from_journal_digest_identical(tmp_path):
