@@ -46,10 +46,11 @@ from dataclasses import dataclass, field
 from repro.analysis.common import (
     AliasResolver,
     Finding,
+    IndexedVisitor,
     LintError,
     RuleInfo,
-    display_path,
-    iter_python_files,
+    ScopeIndex,
+    load_sources,
     matches_any,
 )
 from repro.analysis.common import parse_pragmas as _parse_pragmas
@@ -297,8 +298,9 @@ def load_contract(path=None):
     contract_path = pathlib.Path(path or CONTRACT_NAME)
     display = str(contract_path)
     try:
-        text = contract_path.read_text()
-    except OSError as exc:
+        # TOML is UTF-8 by definition, whatever the locale says.
+        text = contract_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         return None, [LintError(display, 0, f"unreadable contract: {exc}")]
     try:
         data = _parse_toml(text, display)
@@ -368,6 +370,8 @@ class ModuleInfo:
     resolved: str
     tree: object
     source: str
+    #: ``(line, kind, rule ids)`` of every pragma comment.
+    pragmas: tuple = ()
     #: Import edges: (target_module, lineno, col).
     imports: list = field(default_factory=list)
     #: qualname -> FunctionSummary (methods use Class.method).
@@ -392,20 +396,6 @@ def _module_name(file_path):
     return ".".join(reversed(parts))
 
 
-def _own_nodes(node):
-    """Walk a function body without descending into nested scopes."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if isinstance(
-            child,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(child))
-
-
 def _bound_names(target):
     """Names an assignment/loop target *binds* in the local scope.
 
@@ -422,7 +412,7 @@ def _bound_names(target):
             yield from _bound_names(element)
 
 
-def _import_edges(tree, module, all_modules):
+def _import_edges(nodes, module, all_modules):
     """Import edges of one module, submodule imports resolved.
 
     ``from repro import viz`` really depends on ``repro.viz`` when that
@@ -430,7 +420,7 @@ def _import_edges(tree, module, all_modules):
     the stated package) is what lets the layer rules see the true edge.
     """
     edges = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 edges.append((alias.name, node.lineno, node.col_offset))
@@ -448,14 +438,15 @@ def _import_edges(tree, module, all_modules):
     return edges
 
 
-class _ModuleAnalyzer(ast.NodeVisitor):
+class _ModuleAnalyzer(IndexedVisitor):
     """Single pass over one module: summaries, globals, pool submits."""
 
-    def __init__(self, info, module_functions, program_roots=()):
+    def __init__(self, info, module_functions, index, program_roots=()):
         self.info = info
         self._module_functions = module_functions
+        self.index = index
         self._resolver = AliasResolver(
-            info.tree, _TRACKED_ROOTS + tuple(program_roots)
+            index.nodes, _TRACKED_ROOTS + tuple(program_roots)
         )
         #: Stack of (FunctionSummary | None, local-callable-names set).
         self._scopes = []
@@ -510,12 +501,13 @@ class _ModuleAnalyzer(ast.NodeVisitor):
             locals_.add(node.args.kwarg.arg)
         # `global` declarations win over any local assignment of the
         # same name, so they are collected before the main pass.
+        own = self.index.scope_nodes(node)
         declared_global = set()
-        for child in _own_nodes(node):
+        for child in own:
             if isinstance(child, ast.Global):
                 declared_global.update(child.names)
         has_value_return = False
-        for child in _own_nodes(node):
+        for child in own:
             if isinstance(child, (ast.Yield, ast.YieldFrom)):
                 summary.is_generator = True
             elif isinstance(child, ast.Return) and child.value is not None:
@@ -538,7 +530,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
             elif isinstance(child, (ast.For, ast.comprehension)):
                 locals_.update(_bound_names(child.target))
         locals_ -= declared_global
-        for child in _own_nodes(node):
+        for child in own:
             if isinstance(child, ast.Name) and isinstance(
                 child.ctx, ast.Load
             ):
@@ -548,14 +540,14 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                         child.id, child.lineno
                     )
         summary.order_dependent = has_value_return and self._order_dependent(
-            node
+            own
         )
 
-    def _order_dependent(self, node):
-        parents = {}
-        for parent in _own_nodes(node):
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
+    def _order_dependent(self, own):
+        # Above the def a parent chain meets only statements, never a
+        # sorted() call, so the whole-tree map answers as a map of this
+        # scope alone would.
+        parents = self.index.parents()
 
         def inside_sorted(target):
             current = parents.get(target)
@@ -569,7 +561,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                 current = parents.get(current)
             return False
 
-        for child in _own_nodes(node):
+        for child in own:
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
@@ -651,7 +643,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _collect_fork_hazards(info):
+def _collect_fork_hazards(info, nodes):
     """Module-level mutable containers that something also mutates."""
     candidates = {}
     for node in info.tree.body:
@@ -679,7 +671,7 @@ def _collect_fork_hazards(info):
     if not candidates:
         return {}
     mutated = set()
-    for node in ast.walk(info.tree):
+    for node in nodes:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -712,50 +704,44 @@ def _collect_fork_hazards(info):
 def build_program(paths):
     """Parse every module under ``paths`` into a program model.
 
+    ``paths`` may also be loaded :class:`~repro.analysis.common.Sources`.
     Returns ``(modules, errors)`` where ``modules`` maps dotted names
     to :class:`ModuleInfo`.
     """
-    files = []
-    errors = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text()
-        except OSError as exc:
-            errors.append(LintError(str(file_path), 0, f"unreadable: {exc}"))
-            continue
-        files.append((file_path, source))
-
+    sources = load_sources(paths)
+    # Read failures first, then syntax errors, each in file order.
+    errors = [module.error for module in sources if module.source is None]
     modules = {}
-    for file_path, source in files:
-        display = display_path(file_path)
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            errors.append(
-                LintError(display, exc.lineno or 0,
-                          f"syntax error: {exc.msg}")
-            )
+    for module in sources:
+        if module.source is None:
             continue
-        name = _module_name(file_path)
+        if module.tree is None:
+            errors.append(module.error)
+            continue
+        name = _module_name(module.file)
         modules[name] = ModuleInfo(
             name=name,
-            display=display,
-            resolved=file_path.resolve().as_posix(),
-            tree=tree,
-            source=source,
+            display=module.display,
+            resolved=module.resolved,
+            tree=module.tree,
+            source=module.source,
+            pragmas=module.pragmas,
         )
 
     all_names = set(modules)
     program_roots = sorted({name.split(".")[0] for name in modules})
     for info in modules.values():
-        info.imports = _import_edges(info.tree, info.name, all_names)
+        index = ScopeIndex(info.tree)
+        info.imports = _import_edges(index.nodes, info.name, all_names)
         module_functions = {
             node.name
             for node in info.tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        _ModuleAnalyzer(info, module_functions, program_roots).visit(info.tree)
-        info.fork_hazard_globals = _collect_fork_hazards(info)
+        _ModuleAnalyzer(
+            info, module_functions, index, program_roots
+        ).visit(info.tree)
+        info.fork_hazard_globals = _collect_fork_hazards(info, index.nodes)
     return modules, errors
 
 
@@ -944,7 +930,7 @@ def archcheck_paths(paths, contract=None, contract_path=None):
     allows = {}
     for info in modules.values():
         line_allows, file_allows, pragma_errors = _parse_pragmas(
-            info.source, info.display, applicable=set(RULES_BY_ID)
+            info, applicable=set(RULES_BY_ID)
         )
         allows[info.display] = (line_allows, file_allows)
         errors.extend(pragma_errors)

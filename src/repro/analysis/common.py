@@ -5,11 +5,13 @@ Every checker speaks the same dialect: findings located at
 through ``# repro: allow[rule-id]`` pragmas, an acknowledged-findings
 baseline, and the 0/1/2 exit-code contract (clean / findings / the run
 itself cannot be trusted). This module holds the dialect, the
-per-module driver (:func:`check_module`), the DES process-body helpers
-and the one flow walker (:class:`FlowWalker`), so
-:mod:`repro.analysis.lint`, :mod:`repro.analysis.semcheck`,
-:mod:`repro.analysis.archcheck`, and :mod:`repro.analysis.racecheck`
-only contain rules.
+one loader (:func:`load_sources`: each file is read, decoded and parsed
+once per run, whichever tools then read it), the per-module scope index
+(:class:`ScopeIndex`), the per-module driver (:func:`check_module`),
+the DES process-body helpers and the one flow walker
+(:class:`FlowWalker`), so :mod:`repro.analysis.lint`,
+:mod:`repro.analysis.semcheck`, :mod:`repro.analysis.archcheck`, and
+:mod:`repro.analysis.racecheck` only contain rules.
 
 Pragmas are validated against the union of every checker's rule ids
 (:func:`known_rule_ids`): a pragma naming a rule another checker owns
@@ -19,6 +21,7 @@ is a hard error — typos must fail the run, not rot.
 
 import ast
 import fnmatch
+import functools
 import io
 import pathlib
 import re
@@ -113,15 +116,18 @@ def _pragma_comments(source):
         if token.type != tokenize.COMMENT:
             continue
         for match in _PRAGMA.finditer(token.string):
-            rules = [
+            rules = tuple(
                 part.strip() for part in match.group(2).split(",")
                 if part.strip()
-            ]
+            )
             yield token.start[0], match.group(1), rules
 
 
-def parse_pragmas(source, path, applicable=None, known=None):
-    """Extract suppression pragmas from ``source``.
+def parse_pragmas(module, applicable=None, known=None):
+    """The suppression pragmas of a loaded :class:`SourceModule`.
+
+    Anything with its ``display`` and ``pragmas`` attributes will do
+    (archcheck passes its ``ModuleInfo``).
 
     Returns ``(line_allows, file_allows, errors)`` where ``line_allows``
     maps a line number to the rule ids allowed on that line, filtered to
@@ -136,18 +142,18 @@ def parse_pragmas(source, path, applicable=None, known=None):
     line_allows = {}
     file_allows = set()
     errors = []
-    for lineno, kind, names in _pragma_comments(source):
+    for lineno, kind, names in module.pragmas:
         rules = set(names)
         if not rules:
-            errors.append(
-                LintError(path, lineno, "empty repro pragma rule list")
-            )
+            errors.append(LintError(
+                module.display, lineno, "empty repro pragma rule list"
+            ))
             continue
         unknown = sorted(rules - set(known))
         if unknown:
             errors.append(
                 LintError(
-                    path,
+                    module.display,
                     lineno,
                     f"unknown rule id(s) in pragma: {', '.join(unknown)} "
                     f"(known: {', '.join(sorted(known))})",
@@ -164,12 +170,16 @@ def parse_pragmas(source, path, applicable=None, known=None):
 
 
 class AliasResolver:
-    """Resolve call targets to dotted paths through import aliases."""
+    """Resolve call targets to dotted paths through import aliases.
 
-    def __init__(self, tree, tracked_roots):
+    ``nodes`` are every node of the module, in :func:`ast.walk` order
+    (:attr:`ScopeIndex.nodes`): a later import of a name wins.
+    """
+
+    def __init__(self, nodes, tracked_roots):
         self._tracked = tuple(tracked_roots)
         self._aliases = {}
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]
@@ -223,25 +233,117 @@ def iter_python_files(paths):
     return sorted(files)
 
 
-def check_paths(paths, check_source):
-    """Run ``check_source(source, display, resolved)`` over every file.
+def _decode_source(data):
+    """Decode a file's bytes as the interpreter does.
 
-    The shared directory-walking loop behind ``lint_paths`` and
-    ``semcheck_paths``; returns combined ``(findings, errors)``.
+    The PEP 263 coding cookie names the encoding, else UTF-8
+    (:func:`tokenize.detect_encoding`); newlines are translated as
+    text-mode reading does. Raises :class:`SyntaxError` for a bad
+    cookie and :class:`UnicodeDecodeError` for undecodable bytes.
+    """
+    encoding, _lines = tokenize.detect_encoding(io.BytesIO(data).readline)
+    text = data.decode(encoding)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+class SourceModule:
+    """One module: read and decoded once, parsed at most once.
+
+    ``source`` is ``None`` when the file could not be read or decoded;
+    ``tree`` is ``None`` then and when the source does not parse.
+    ``error`` says why, as a :class:`LintError`; ``pragmas`` are the
+    ``(line, kind, rule ids)`` of every pragma comment in the source.
+    """
+
+    def __init__(self, display, source=None, resolved=None, file=None):
+        self.display = display
+        self.source = source
+        #: What path globs match against; defaults to ``display``.
+        self.resolved = resolved or display
+        #: The path as :func:`iter_python_files` expanded it, if any.
+        self.file = file
+        self._error = None
+
+    @classmethod
+    def read(cls, file_path):
+        """Read and decode ``file_path``; a failure becomes ``error``."""
+        resolved = file_path.resolve()
+        module = cls(
+            display_path(resolved), resolved=resolved.as_posix(),
+            file=file_path,
+        )
+        try:
+            module.source = _decode_source(file_path.read_bytes())
+        except OSError as exc:
+            module._error = LintError(
+                str(file_path), 0, f"unreadable: {exc}"
+            )
+        except (SyntaxError, UnicodeDecodeError) as exc:
+            line = 0  # a bad coding cookie has no position
+            if isinstance(exc, UnicodeDecodeError):
+                line = exc.object[:exc.start].count(b"\n") + 1
+            module._error = LintError(
+                module.display, line,
+                f"cannot decode source ({exc}); save it as UTF-8 or "
+                "declare its encoding (PEP 263)",
+            )
+        return module
+
+    @functools.cached_property
+    def tree(self):
+        """The parsed module, or ``None`` (see :attr:`error`)."""
+        if self.source is None:
+            return None
+        try:
+            return ast.parse(self.source)
+        except SyntaxError as exc:
+            self._error = LintError(
+                self.display, exc.lineno or 0, f"syntax error: {exc.msg}"
+            )
+            return None
+
+    @property
+    def error(self):
+        """Why the module cannot be checked, or ``None``."""
+        return self._error if self.tree is None else None
+
+    @functools.cached_property
+    def pragmas(self):
+        """``(line, kind, rule ids)`` of every pragma comment."""
+        if self.source is None:
+            return ()
+        return tuple(_pragma_comments(self.source))
+
+
+class Sources(tuple):
+    """The :class:`SourceModule`\\ s under a path list, in file order.
+
+    Every ``*_paths`` entry point takes one in place of a path list, so
+    a run that checks the same paths with several tools reads, decodes
+    and parses each file once.
+    """
+
+
+def load_sources(paths):
+    """Load every ``*.py`` file under ``paths``; a :class:`Sources` as is."""
+    if isinstance(paths, Sources):
+        return paths
+    return Sources(
+        SourceModule.read(file_path) for file_path in iter_python_files(paths)
+    )
+
+
+def check_paths(paths, check):
+    """Run ``check(module)`` over every :class:`SourceModule`.
+
+    The shared loop behind every ``*_paths`` entry point but
+    archcheck's; ``paths`` is a path list or a :class:`Sources`.
+    Returns combined ``(findings, errors)``.
     """
     findings = []
     errors = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text()
-        except OSError as exc:
-            errors.append(LintError(str(file_path), 0, f"unreadable: {exc}"))
-            continue
-        file_findings, file_errors = check_source(
-            source,
-            display_path(file_path),
-            file_path.resolve().as_posix(),
-        )
+    for module in load_sources(paths):
+        file_findings, file_errors = check(module)
         findings.extend(file_findings)
         errors.extend(file_errors)
     return findings, errors
@@ -261,26 +363,22 @@ class FindingSink:
         self.findings.setdefault(finding.key(), finding)
 
 
-def check_module(source, path, rules_by_id, analyze):
-    """Run one per-module checker over ``source``; ``(findings, errors)``.
+def check_module(module, rules_by_id, analyze):
+    """Run one per-module checker over ``module``; ``(findings, errors)``.
 
-    The driver behind ``lint_source``, ``semcheck_source`` and
-    ``racecheck_source``: parse (a syntax error is a :class:`LintError`),
-    read the pragmas, let ``analyze(tree, sink)`` flag into a
-    :class:`FindingSink`, drop what a pragma suppresses, and sort by
-    location.
+    The driver behind the per-module checkers: a module that cannot be
+    parsed is its :class:`LintError`; otherwise read the pragmas, let
+    ``analyze(index, sink)`` flag into a :class:`FindingSink` through a
+    fresh :class:`ScopeIndex` of the tree, drop what a pragma
+    suppresses, and sort by location.
     """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [], [
-            LintError(path, exc.lineno or 0, f"syntax error: {exc.msg}")
-        ]
+    if module.tree is None:
+        return [], [module.error]
     line_allows, file_allows, errors = parse_pragmas(
-        source, path, applicable=set(rules_by_id)
+        module, applicable=set(rules_by_id)
     )
-    sink = FindingSink(path)
-    analyze(tree, sink)
+    sink = FindingSink(module.display)
+    analyze(ScopeIndex(module.tree), sink)
     findings = [
         finding
         for _key, finding in sorted(sink.findings.items())
@@ -327,17 +425,19 @@ def inventory_pragmas(paths, known=None):
     known = known if known is not None else known_rule_ids()
     records = []
 
-    def inventory(source, display, _resolved):
+    def inventory(module):
+        if module.source is None:
+            return [], [module.error]
         errors = []
-        for lineno, kind, rules in _pragma_comments(source):
+        for lineno, kind, rules in module.pragmas:
             unknown = sorted(set(rules) - set(known))
             if unknown:
                 errors.append(LintError(
-                    display, lineno,
+                    module.display, lineno,
                     f"unknown rule id(s) in pragma: {', '.join(unknown)}",
                 ))
             records.append({
-                "path": display,
+                "path": module.display,
                 "line": lineno,
                 "kind": kind,
                 "rules": sorted(rules),
@@ -347,6 +447,117 @@ def inventory_pragmas(paths, known=None):
     _findings, errors = check_paths(paths, inventory)
     records.sort(key=lambda record: (record["path"], record["line"]))
     return records, errors
+
+
+# ---------------------------------------------------------------------------
+# Scope index
+# ---------------------------------------------------------------------------
+
+#: Nodes that open a new function scope.
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: Nodes whose bodies :meth:`ScopeIndex.scope_nodes` leaves to their
+#: own scope.
+_SCOPES = _DEFS + (ast.Lambda, ast.ClassDef)
+
+
+def _child_nodes(node):
+    """``tuple(ast.iter_child_nodes(node))``, same order, one call."""
+    children = []
+    for name in node._fields:
+        value = getattr(node, name, None)
+        if isinstance(value, list):
+            for item in value:
+                if isinstance(item, ast.AST):
+                    children.append(item)
+        elif isinstance(value, ast.AST):
+            children.append(value)
+    return tuple(children)
+
+
+class ScopeIndex:
+    """Memoized walks of one module's tree, for one tool's pass over it.
+
+    Construction walks the tree once: ``nodes`` is every node in
+    :func:`ast.walk` order and ``children`` maps each node to the
+    tuple of its direct children, in field order. The other walks
+    derive from ``children``; each is computed once and kept as a
+    tuple keyed by the node object it starts from. An index lives as
+    long as one checker's look at one module.
+    """
+
+    def __init__(self, tree):
+        self.tree = tree
+        children = self.children = {}
+        order = [tree]
+        # Appending while iterating visits the appended nodes too: a
+        # breadth-first queue without the pops, as ast.walk walks.
+        for node in order:
+            kids = children[node] = _child_nodes(node)
+            order.extend(kids)
+        self.nodes = tuple(order)
+        self._parents = None
+        self._own = {}
+        self._scoped = {}
+
+    def parents(self):
+        """Child node -> parent node over the whole tree."""
+        if self._parents is None:
+            children = self.children
+            self._parents = {
+                child: node for node in self.nodes for child in children[node]
+            }
+        return self._parents
+
+    def own_nodes(self, owner):
+        """The nodes of ``owner.body``, not descending into nested defs.
+
+        Depth first, last statement first. A nested def is yielded but
+        not entered; a lambda or class body is entered.
+        """
+        nodes = self._own.get(owner)
+        if nodes is None:
+            nodes = self._own[owner] = self._scope_walk(
+                list(owner.body), _DEFS
+            )
+        return nodes
+
+    def scope_nodes(self, node):
+        """The nodes under ``node``, not entering nested scopes.
+
+        A def's arguments, decorators and return annotation count. A
+        nested def, lambda or class is yielded but not entered.
+        """
+        nodes = self._scoped.get(node)
+        if nodes is None:
+            nodes = self._scoped[node] = self._scope_walk(
+                list(self.children[node]), _SCOPES
+            )
+        return nodes
+
+    def _scope_walk(self, stack, stops):
+        children = self.children
+        nodes = []
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if not isinstance(node, stops):
+                stack.extend(children[node])
+        return tuple(nodes)
+
+
+class IndexedVisitor(ast.NodeVisitor):
+    """An :class:`ast.NodeVisitor` that reads children from ``self.index``.
+
+    Same visit order as the stock visitor, without re-deriving each
+    node's children from its fields.
+    """
+
+    index = None
+
+    def generic_visit(self, node):
+        """Visit each child of ``node``, in field order."""
+        for child in self.index.children[node]:
+            self.visit(child)
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +573,11 @@ _EVENT_METHODS = frozenset(
 )
 
 
-def own_nodes(body):
-    """Walk nodes of a scope without descending into nested defs."""
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def has_own_yield(func):
+def has_own_yield(index, func):
     """Whether ``func`` itself (not a nested def) is a generator."""
     return any(
         isinstance(node, (ast.Yield, ast.YieldFrom))
-        for node in own_nodes(func.body)
+        for node in index.own_nodes(func)
     )
 
 
@@ -403,7 +603,7 @@ def is_eventish(node, handles):
     return False
 
 
-def process_like(func, stages=False):
+def process_like(index, func, stages=False):
     """Whether ``func`` looks like a DES process body.
 
     A body that yields an Event or requests a Resource is one. With
@@ -413,15 +613,16 @@ def process_like(func, stages=False):
     or every plain recursive generator would be held to the Event-only
     yield rule.
     """
+    own = index.own_nodes(func)
     handles = {
         stmt.targets[0].id
-        for stmt in own_nodes(func.body)
+        for stmt in own
         if isinstance(stmt, ast.Assign)
         and len(stmt.targets) == 1
         and isinstance(stmt.targets[0], ast.Name)
         and is_request_call(stmt.value)
     }
-    for node in own_nodes(func.body):
+    for node in own:
         if (
             isinstance(node, ast.Yield)
             and node.value is not None

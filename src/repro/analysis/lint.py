@@ -42,7 +42,9 @@ from dataclasses import dataclass
 
 from repro.analysis.common import (
     AliasResolver,
+    IndexedVisitor,
     RuleInfo,
+    SourceModule,
     check_module,
     check_paths,
     matches_any,
@@ -189,14 +191,14 @@ _TRACKED_ROOTS = ("time", "datetime", "random", "itertools", "numpy")
 
 _COUNTER_NAME = re.compile(r"^_?(ids?|counters?|count|seq|sequence|next_\w+)$")
 
-class _Analyzer(ast.NodeVisitor):
+class _Analyzer(IndexedVisitor):
     """Single-pass rule engine over one module's AST."""
 
     def __init__(self, sink, config, resolved_path):
         self.sink = sink
         self.config = config
         self._resolver = None
-        self._parents = {}
+        self._parents = None
         self._wallclock_allowed = matches_any(
             resolved_path, config.wallclock_allow
         )
@@ -206,12 +208,11 @@ class _Analyzer(ast.NodeVisitor):
 
     # -- plumbing ------------------------------------------------------
 
-    def run(self, tree):
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                self._parents[child] = node
-        self._resolver = AliasResolver(tree, _TRACKED_ROOTS)
-        self.visit(tree)
+    def run(self, index):
+        self.index = index
+        self._parents = index.parents()
+        self._resolver = AliasResolver(index.nodes, _TRACKED_ROOTS)
+        self.visit(index.tree)
 
     def _dotted(self, node):
         """Resolve a call target to a dotted path through import aliases."""
@@ -452,22 +453,25 @@ def lint_source(source, path, config=None, resolved_path=None):
     (defaulting to ``path``) is what the config globs match against.
     Returns ``(findings, errors)``.
     """
+    return _lint_module(SourceModule(path, source, resolved_path), config)
+
+
+def _lint_module(module, config=None):
+    """Lint one loaded :class:`SourceModule`; returns (findings, errors)."""
     config = config or DEFAULT_CONFIG
-    resolved_path = resolved_path or path
-    return check_module(
-        source, path, RULES_BY_ID,
-        lambda tree, sink: _Analyzer(sink, config, resolved_path).run(tree),
-    )
+
+    def analyze(index, sink):
+        _Analyzer(sink, config, module.resolved).run(index)
+
+    return check_module(module, RULES_BY_ID, analyze)
 
 
 def lint_paths(paths, config=None):
-    """Lint every ``*.py`` file under ``paths``; returns (findings, errors)."""
-    return check_paths(
-        paths,
-        lambda source, display, resolved: lint_source(
-            source, display, config=config, resolved_path=resolved
-        ),
-    )
+    """Lint every ``*.py`` file under ``paths``; returns (findings, errors).
+
+    ``paths`` may also be loaded :class:`~repro.analysis.common.Sources`.
+    """
+    return check_paths(paths, lambda module: _lint_module(module, config))
 
 
 def render_findings(findings, show_hints=True):

@@ -68,12 +68,12 @@ from dataclasses import dataclass
 from repro.analysis.common import (
     FlowWalker,
     RuleInfo,
+    SourceModule,
     check_module,
     check_paths,
     handler_catches_interrupt,
     has_own_yield,
     is_request_call,
-    own_nodes,
     process_like,
 )
 from repro.analysis.common import render_findings as _render_findings
@@ -258,7 +258,7 @@ class _Access:
 class _Scope:
     """Name classification for one function body."""
 
-    def __init__(self, func, cls, module_globals):
+    def __init__(self, index, func, cls, module_globals):
         self.cls = cls
         self.module_globals = module_globals
         self.global_decls = set()
@@ -272,7 +272,7 @@ class _Scope:
             + ([args.kwarg] if args.kwarg else [])
         ):
             self.locals.add(param.arg)
-        for node in own_nodes(func.body):
+        for node in index.own_nodes(func):
             if isinstance(node, ast.Global):
                 self.global_decls.update(node.names)
             elif isinstance(node, ast.Name) and isinstance(
@@ -324,7 +324,9 @@ def _iter_functions(tree):
 class _ModuleModel:
     """The module's access table plus its analyzable process bodies."""
 
-    def __init__(self, tree):
+    def __init__(self, index):
+        tree = index.tree
+        self.index = index
         self.accesses = []
         self.process_bodies = []  # (func, cls, func_id, scope)
         self._alias_cache = {}
@@ -345,10 +347,12 @@ class _ModuleModel:
                 if cls
                 else f"{func.name}:{func.lineno}"
             )
-            scope = _Scope(func, cls, self.module_globals)
+            scope = _Scope(index, func, cls, self.module_globals)
             is_init = cls is not None and func.name in _INIT_METHODS
             _AccessScan(self, func, func_id, scope, is_init).run()
-            if has_own_yield(func) and process_like(func, stages=True):
+            if has_own_yield(index, func) and process_like(
+                index, func, stages=True
+            ):
                 self.process_bodies.append((func, cls, func_id, scope))
 
     # -- queries ---------------------------------------------------------
@@ -432,7 +436,9 @@ class _AccessScan:
 
     def _scan(self, node, locked):
         """Record the reads and writes of one simple statement."""
-        reads, writes, _yields = _collect_events(node)
+        reads, writes, _yields = _collect_events(
+            node, self.model.index.children
+        )
         for kind, accesses in (("read", reads), ("write", writes)):
             for chain, *_where in accesses:
                 loc = self.scope.classify(*chain)
@@ -587,7 +593,7 @@ class _BodyPass(FlowWalker):
 
     def _prescan_written(self):
         written = set()
-        for node in own_nodes(self.func.body):
+        for node in self.model.index.own_nodes(self.func):
             chain = None
             if isinstance(node, (ast.Attribute, ast.Subscript)) and (
                 isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
@@ -693,7 +699,9 @@ class _BodyPass(FlowWalker):
     # -- one simple statement --------------------------------------------
 
     def transfer(self, stmt):
-        reads, writes, yields = _collect_events(stmt)
+        reads, writes, yields = _collect_events(
+            stmt, self.model.index.children
+        )
         # Explicit request()/release() handle protocol.
         release_handles = _released_handles(stmt)
         read_locs = set()
@@ -910,12 +918,13 @@ class _BodyPass(FlowWalker):
         self.state["reads"].pop(loc, None)
 
 
-def _collect_events(stmt):
+def _collect_events(stmt, children):
     """``(reads, writes, yields)`` of one simple statement.
 
     Reads and writes are maximal attribute chains (chains in Store/Del
     context, AugAssign targets, and mutator calls count as writes;
     AugAssign targets also read). Yields cover Yield and YieldFrom.
+    ``children`` is the module's :attr:`ScopeIndex.children`.
     """
     reads = []
     writes = []
@@ -970,7 +979,7 @@ def _collect_events(stmt):
             for keyword in node.keywords:
                 visit(keyword.value)
             return
-        for child in ast.iter_child_nodes(node):
+        for child in children[node]:
             visit(child)
 
     visit(stmt)
@@ -1026,34 +1035,31 @@ def _flag_lock_inversions(checker, sink):
         )
 
 
-def _analyze(source, path):
+def _analyze(module):
     """Full module analysis: ``(findings, errors, sink)``."""
     facts = _ModuleSink()
 
-    def analyze(tree, sink):
-        model = _ModuleModel(tree)
+    def analyze(index, sink):
+        model = _ModuleModel(index)
         for func, _cls, func_id, scope in model.process_bodies:
             _BodyPass(sink, func, func_id, scope, model, facts).run()
         _flag_lock_inversions(sink, facts)
 
-    findings, errors = check_module(source, path, RULES_BY_ID, analyze)
+    findings, errors = check_module(module, RULES_BY_ID, analyze)
     return findings, errors, facts
 
 
 def racecheck_source(source, path, resolved_path=None):
     """Racecheck one module's source text; returns ``(findings, errors)``."""
-    findings, errors, _sink = _analyze(source, path)
-    return findings, errors
+    return _analyze(SourceModule(path, source, resolved_path))[:2]
 
 
 def racecheck_paths(paths):
-    """Racecheck every ``*.py`` file under ``paths``."""
-    return check_paths(
-        paths,
-        lambda source, display, resolved: racecheck_source(
-            source, display, resolved_path=resolved
-        ),
-    )
+    """Racecheck every ``*.py`` file under ``paths``.
+
+    ``paths`` may also be loaded :class:`~repro.analysis.common.Sources`.
+    """
+    return check_paths(paths, lambda module: _analyze(module)[:2])
 
 
 def lock_inventory(paths):
@@ -1066,9 +1072,11 @@ def lock_inventory(paths):
     """
     records = []
 
-    def inventory(source, display, _resolved):
-        _findings, errors, facts = _analyze(source, display)
-        records.extend({"path": display, **row} for row in facts.inventory)
+    def inventory(module):
+        _findings, errors, facts = _analyze(module)
+        records.extend(
+            {"path": module.display, **row} for row in facts.inventory
+        )
         return [], errors
 
     _findings, errors = check_paths(paths, inventory)

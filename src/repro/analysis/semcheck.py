@@ -50,13 +50,13 @@ from repro.analysis.common import (
     AliasResolver,
     FlowWalker,
     RuleInfo,
+    SourceModule,
     check_module,
     check_paths,
     handler_catches_interrupt,
     has_own_yield,
     is_request_call,
     matches_any,
-    own_nodes,
     process_like,
 )
 from repro.analysis.common import render_findings as _render_findings
@@ -161,12 +161,12 @@ _CONFLICT = "?conflict"
 class _UnitsPass:
     """Suffix-inferred unit propagation over one scope (module or def)."""
 
-    def __init__(self, sink, resolver, signatures, scope_body, func=None):
+    def __init__(self, sink, resolver, signatures, index, scope):
         self.sink = sink
         self.resolver = resolver
         self.signatures = signatures
-        self.scope_body = scope_body
-        self.func = func
+        self.nodes = index.own_nodes(scope)
+        self.func = None if isinstance(scope, ast.Module) else scope
         self.env = {}
 
     # -- environment ---------------------------------------------------
@@ -183,7 +183,7 @@ class _UnitsPass:
                     self.env[param.arg] = unit
         # Two rounds so chained assignments (a = b_us; c = a) settle.
         for _round in range(2):
-            for node in own_nodes(self.scope_body):
+            for node in self.nodes:
                 targets = ()
                 value = None
                 if isinstance(node, ast.Assign):
@@ -278,7 +278,7 @@ class _UnitsPass:
 
     def run(self):
         self.build_env()
-        for node in own_nodes(self.scope_body):
+        for node in self.nodes:
             if isinstance(node, ast.BinOp):
                 self._check_binop(node)
             elif isinstance(node, ast.Compare):
@@ -445,7 +445,7 @@ def _call_leaf(func):
     return None
 
 
-def _collect_module_signatures(tree):
+def _collect_module_signatures(nodes):
     """Same-module callables with unit-suffixed parameters.
 
     Maps a callable leaf name to a tuple of
@@ -470,7 +470,7 @@ def _collect_module_signatures(tree):
         else:
             signatures[name] = entries
 
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             params = list(node.args.posonlyargs) + list(node.args.args)
             record(node.name, params, skip_first=False)
@@ -531,16 +531,17 @@ class _ProtocolPass(FlowWalker):
     paths reaching the current statement.
     """
 
-    def __init__(self, sink, func):
+    def __init__(self, sink, index, func):
         super().__init__()
         self.sink = sink
+        self.index = index
         self.func = func
         self.state = {}
         #: stack of protection frames (handle names released by an
         #: enclosing ``finally``, broad handler, or handle-``with``).
         self.protections = []
         self.leak_reported = set()
-        self.process_like = process_like(func)
+        self.process_like = process_like(index, func)
 
     def run(self):
         self.walk_block(self.func.body)
@@ -699,7 +700,7 @@ class _ProtocolPass(FlowWalker):
         is_forever = isinstance(test, ast.Constant) and bool(test.value)
         if not is_forever:
             return
-        for node in own_nodes(stmt.body):
+        for node in self.index.own_nodes(stmt):
             if isinstance(
                 node,
                 (ast.Yield, ast.YieldFrom, ast.Return, ast.Break, ast.Raise),
@@ -780,40 +781,39 @@ def semcheck_source(source, path, config=None, resolved_path=None):
     ``path`` is the display path attached to findings; ``resolved_path``
     (defaulting to ``path``) is what the config globs match against.
     """
-    config = config or DEFAULT_CONFIG
-    in_units_module = matches_any(
-        resolved_path or path, config.units_modules
-    )
+    return _semcheck_module(SourceModule(path, source, resolved_path), config)
 
-    def analyze(tree, sink):
+
+def _semcheck_module(module, config=None):
+    """Semcheck one loaded :class:`SourceModule`."""
+    config = config or DEFAULT_CONFIG
+    in_units_module = matches_any(module.resolved, config.units_modules)
+
+    def analyze(index, sink):
+        nodes = index.nodes
         functions = [
             node
-            for node in ast.walk(tree)
+            for node in nodes
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         if not in_units_module:
-            resolver = AliasResolver(tree, _TRACKED_ROOTS)
-            signatures = _collect_module_signatures(tree)
-            _UnitsPass(sink, resolver, signatures, tree.body).run()
-            for func in functions:
-                _UnitsPass(
-                    sink, resolver, signatures, func.body, func=func
-                ).run()
+            resolver = AliasResolver(nodes, _TRACKED_ROOTS)
+            signatures = _collect_module_signatures(nodes)
+            for scope in [index.tree] + functions:
+                _UnitsPass(sink, resolver, signatures, index, scope).run()
         for func in functions:
-            if has_own_yield(func):
-                _ProtocolPass(sink, func).run()
+            if has_own_yield(index, func):
+                _ProtocolPass(sink, index, func).run()
 
-    return check_module(source, path, RULES_BY_ID, analyze)
+    return check_module(module, RULES_BY_ID, analyze)
 
 
 def semcheck_paths(paths, config=None):
-    """Semcheck every ``*.py`` file under ``paths``."""
-    return check_paths(
-        paths,
-        lambda source, display, resolved: semcheck_source(
-            source, display, config=config, resolved_path=resolved
-        ),
-    )
+    """Semcheck every ``*.py`` file under ``paths``.
+
+    ``paths`` may also be loaded :class:`~repro.analysis.common.Sources`.
+    """
+    return check_paths(paths, lambda module: _semcheck_module(module, config))
 
 
 def render_findings(findings, show_hints=True):

@@ -138,19 +138,22 @@ class Kernel:
 
     def _advance(self, thread, value, exception=None):
         """Run the thread body to its next scheduling request."""
-        try:
-            if exception is not None:
-                request = thread.body.throw(exception)
-            else:
-                request = thread.body.send(value)
-        except StopIteration as stop:
-            thread.state = DONE
-            thread.done.succeed(getattr(stop, "value", None))
-            return
-        if isinstance(request, Work):
-            if request.ref_us <= 0:
-                self._advance(thread, None)
+        while True:
+            try:
+                if exception is not None:
+                    request = thread.body.throw(exception)
+                else:
+                    request = thread.body.send(value)
+            except StopIteration as stop:
+                thread.state = DONE
+                thread.done.succeed(getattr(stop, "value", None))
                 return
+            if not (isinstance(request, Work) and request.ref_us <= 0):
+                break
+            # Zero work completes at once: resume the body here, in a
+            # loop, so a long run of such requests uses no stack.
+            value = exception = None
+        if isinstance(request, Work):
             thread.remaining_work = request.ref_us
             thread.current_label = request.label
             self._enqueue(thread)
@@ -240,20 +243,6 @@ class Kernel:
             # created PENDING by the core loop and only triggered here.
             event._state = TRIGGERED
             schedule(event)
-
-    def _pick_for(self, core):
-        best = None
-        best_vruntime = 0.0
-        core_id = core.core_id
-        for thread in self._runqueue:
-            affinity = thread.affinity
-            if affinity is not None and core_id not in affinity:
-                continue
-            vruntime = thread.vruntime
-            if best is None or vruntime < best_vruntime:
-                best = thread
-                best_vruntime = vruntime
-        return best
 
     # -- periodic services ----------------------------------------------
 
@@ -383,8 +372,8 @@ class _CoreLoop:
         thread = self._thread
         while True:
             if state == 0:  # _PICK: choose a thread or go idle
-                # Inlined Kernel._pick_for: lowest-vruntime runnable
-                # thread this core may run.
+                # Pick the lowest-vruntime runnable thread this core
+                # may run (its affinity allows it); none means idle.
                 thread = None
                 best_vruntime = 0.0
                 for candidate in runqueue:

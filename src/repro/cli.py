@@ -558,7 +558,11 @@ def _cmd_check(args):
     paths = _default_paths(args)
     if args.write_baseline or args.update_baseline:
         return _edit_baseline(args, paths, tools[0])
-    from repro.analysis.common import findings_to_json
+    from repro.analysis.common import findings_to_json, load_sources
+
+    # Every tool reads the same modules: each file is read, decoded and
+    # parsed once for the whole run.
+    sources = load_sources(paths)
 
     as_json = args.format == "json"
     # In json mode stdout carries the findings object and nothing else;
@@ -570,7 +574,7 @@ def _cmd_check(args):
         tools
     ):
         outcome = _checker_outcome(
-            paths, check_paths, known_rules, default_baseline,
+            sources, check_paths, known_rules, default_baseline,
             baseline=args.baseline, strict=args.check,
         )
         if as_json:

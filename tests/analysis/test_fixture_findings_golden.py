@@ -1,10 +1,13 @@
 """Golden pin of every finding ``check`` reports over the fixtures.
 
 ``check_json_schema.json`` pins the *shape* of the payload; this file
-pins its *content*: the exact ``(tool, rule, path, line)`` set the four
-checkers report over ``tests/analysis/fixtures``. A refactor of the
-analysis plumbing must leave it unchanged; a deliberate rule change
-regenerates it in the same commit::
+pins its *content*: the exact ``(tool, rule, path, line, col, message)``
+rows the four checkers report over ``tests/analysis/fixtures``. The
+column and message are pinned too: a checker keeps the first finding
+per (path, line, rule), so a change in walk order shows up as a
+different message. A refactor of the analysis plumbing must leave it
+unchanged; a deliberate rule change regenerates it in the same
+commit::
 
     PYTHONPATH=src python -m repro check --format=json \\
         tests/analysis/fixtures
@@ -23,7 +26,10 @@ GOLDEN = (
 
 def _findings(payload):
     return sorted(
-        [tool, item["rule"], item["path"], item["line"]]
+        [
+            tool, item["rule"], item["path"], item["line"], item["col"],
+            item["message"],
+        ]
         for tool, items in payload.items()
         for item in items
     )

@@ -219,3 +219,23 @@ def test_deterministic_given_seed():
         sim.run(until=sim.all_of([thread.done for thread in threads]))
         finish_times.append(sim.now)
     assert finish_times[0] == finish_times[1]
+
+
+def test_long_run_of_zero_work_requests_costs_no_events_or_stack():
+    # Zero-work requests complete inline; thousands in a row must not
+    # recurse (RecursionError) or add events to the schedule.
+    def zero_then_work():
+        for _ in range(5_000):
+            yield Work(0.0)
+        yield Work(10.0)
+
+    outcomes = []
+    for body in (zero_then_work(), burn(10.0)):
+        sim = Simulator(seed=0)
+        kernel = Kernel(sim, make_soc(sim, "sd845"))
+        thread = kernel.spawn(body, name="worker")
+        sim.run(until=thread.done)
+        outcomes.append((sim.now, sim.events_processed))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][0] == pytest.approx(39.33, abs=0.01)
+    assert outcomes[1][1] == 13
