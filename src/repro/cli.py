@@ -47,24 +47,20 @@ import argparse
 import pathlib
 import sys
 
-from repro.apps import PipelineConfig, run_pipeline
-from repro.apps.harness import CONTEXTS
-from repro.apps.sessions import TARGETS
-from repro.core import breakdown
-from repro.core.report import render_breakdown
-from repro.core.variability import VariabilityStats
-from repro.experiments import REGISTRY, run_experiment
-from repro.models import MODEL_CARDS
-from repro.sim import units
-from repro.soc import SOC_SPECS
+# Each handler and each ``_*_arguments`` function imports what it uses:
+# ``check`` and ``--help`` never load numpy or the simulator.
 
 
 def _cmd_models(_args):
+    from repro.experiments import run_experiment
+
     print(run_experiment("table1").render())
     return 0
 
 
 def _cmd_socs(_args):
+    from repro.experiments import run_experiment
+
     print(run_experiment("table2").render())
     return 0
 
@@ -79,6 +75,10 @@ def _enable_sanitizer_if_requested(args):
 
 
 def _cmd_run(args):
+    from repro.apps import PipelineConfig, run_pipeline
+    from repro.core import VariabilityStats, breakdown
+    from repro.core.report import render_breakdown
+
     _enable_sanitizer_if_requested(args)
     if args.config is not None:
         import json
@@ -111,6 +111,8 @@ def _cmd_run(args):
 
 
 def _cmd_experiment(args):
+    from repro.experiments import run_experiment
+
     _enable_sanitizer_if_requested(args)
     kwargs = {}
     if args.runs is not None:
@@ -136,6 +138,10 @@ def _cmd_experiment(args):
 
 def _cmd_summary(_args):
     """Re-validate the paper's takeaways and show the repo inventory."""
+    from repro.experiments import REGISTRY, run_experiment
+    from repro.models import MODEL_CARDS
+    from repro.soc import SOC_SPECS
+
     result = run_experiment("takeaways", runs=8)
     print(result.render())
     print()
@@ -191,6 +197,8 @@ def _cmd_fleet(args):
 
 
 def _cmd_chaos(args):
+    from repro.experiments import run_experiment
+
     rates = args.fault_rate if args.fault_rate else None
     kwargs = {
         "sessions": args.sessions,
@@ -264,6 +272,7 @@ def _cmd_trace(args):
         summarize_trace,
         write_chrome_trace,
     )
+    from repro.sim import units
 
     _enable_sanitizer_if_requested(args)
     session = record_trace(
@@ -502,30 +511,36 @@ def _checker_table(args):
     )
 
 
-def _edit_baseline(args, paths, tool):
-    """``--write-baseline`` / ``--update-baseline`` for one tool."""
+def _edit_baseline(args, paths, tool, diag):
+    """``--write-baseline`` / ``--update-baseline`` for one tool.
+
+    A run with errors (a file that does not parse, say) cannot tell
+    which findings still exist, so it leaves the baseline untouched.
+    """
     from repro.analysis import baseline as baseline_mod
 
     _name, check_paths, _render, known_rules, default_baseline, _label = tool
     findings, errors = check_paths(paths)
     target = args.baseline or default_baseline
-    if args.write_baseline:
+    if not errors and args.write_baseline:
         count = baseline_mod.write_baseline(target, findings)
-        print(f"wrote {target} ({count} acknowledged findings)")
-    else:
-        kept, pruned, prune_errors = baseline_mod.prune_baseline(
+        print(f"wrote {target} ({count} acknowledged findings)", file=diag)
+    elif not errors:
+        kept, pruned, errors = baseline_mod.prune_baseline(
             target, findings, known_rules=known_rules
         )
-        errors = list(errors) + list(prune_errors)
         for entry in pruned:
-            print(f"pruned {entry.path}:{entry.line} [{entry.rule}]")
+            print(
+                f"pruned {entry.path}:{entry.line} [{entry.rule}]", file=diag
+            )
         print(
             f"{target}: pruned {len(pruned)} stale entr"
             f"{'y' if len(pruned) == 1 else 'ies'}, "
-            f"{len(kept)} kept"
+            f"{len(kept)} kept",
+            file=diag,
         )
     for error in errors:
-        print(error.render())
+        print(error.render(), file=diag)
     return 2 if errors else 0
 
 
@@ -543,6 +558,10 @@ def _cmd_check(args):
         return _list_pragmas(args)
     if args.list_locks:
         return _list_locks(args)
+    as_json = args.format == "json"
+    # In json mode stdout carries the findings object and nothing else;
+    # diagnostics move to stderr so the output stays machine-readable.
+    diag = sys.stderr if as_json else sys.stdout
     tools = [
         tool for tool in _checker_table(args)
         if not args.tool or tool[0] in args.tool
@@ -552,22 +571,18 @@ def _cmd_check(args):
     ):
         print(
             "error: a baseline belongs to one tool; name exactly one "
-            "--tool to write, prune, or point at one"
+            "--tool to write, prune, or point at one",
+            file=diag,
         )
         return 2
     paths = _default_paths(args)
     if args.write_baseline or args.update_baseline:
-        return _edit_baseline(args, paths, tools[0])
+        return _edit_baseline(args, paths, tools[0], diag)
     from repro.analysis.common import findings_to_json, load_sources
 
     # Every tool reads the same modules: each file is read, decoded and
     # parsed once for the whole run.
     sources = load_sources(paths)
-
-    as_json = args.format == "json"
-    # In json mode stdout carries the findings object and nothing else;
-    # diagnostics move to stderr so the output stays machine-readable.
-    diag = sys.stderr if as_json else sys.stdout
     payload = {}
     exit_code = 0
     for name, check_paths, render, known_rules, default_baseline, label in (
@@ -672,6 +687,8 @@ def _cmd_sanitize(args):
 
 
 def _cmd_report(args):
+    from repro.experiments import REGISTRY, run_experiment
+
     order = sorted(REGISTRY)
     for experiment_id in order:
         kwargs = {}
@@ -686,357 +703,386 @@ def _cmd_report(args):
 def _runs_parameter(experiment_id):
     import inspect
 
+    from repro.experiments import REGISTRY
+
     return inspect.signature(REGISTRY[experiment_id]).parameters
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="AI Tax in Mobile SoCs (ISPASS 2021) reproduction",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _run_arguments(parser):
+    from repro.apps.harness import CONTEXTS
+    from repro.apps.sessions import TARGETS
+    from repro.models import MODEL_CARDS
+    from repro.soc import SOC_SPECS
 
-    sub.add_parser("models", help="list the Table-I model zoo")
-    sub.add_parser("socs", help="list the Table-II platforms")
-    sub.add_parser(
-        "summary", help="re-validate the paper takeaways + inventory"
-    )
-
-    run_parser = sub.add_parser("run", help="simulate one configuration")
-    run_parser.add_argument("--model", default="mobilenet_v1",
-                            choices=sorted(MODEL_CARDS))
-    run_parser.add_argument("--dtype", default="fp32",
-                            choices=("fp32", "int8", "fp16"))
-    run_parser.add_argument("--context", default="app", choices=CONTEXTS)
-    run_parser.add_argument("--target", default="nnapi", choices=TARGETS)
-    run_parser.add_argument("--runs", type=int, default=20)
-    run_parser.add_argument("--soc", default="sd845",
-                            choices=sorted(SOC_SPECS))
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument(
+    parser.add_argument("--model", default="mobilenet_v1",
+                        choices=sorted(MODEL_CARDS))
+    parser.add_argument("--dtype", default="fp32",
+                        choices=("fp32", "int8", "fp16"))
+    parser.add_argument("--context", default="app", choices=CONTEXTS)
+    parser.add_argument("--target", default="nnapi", choices=TARGETS)
+    parser.add_argument("--runs", type=int, default=20)
+    parser.add_argument("--soc", default="sd845", choices=sorted(SOC_SPECS))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--config", default=None, metavar="PATH",
         help="load the full PipelineConfig from a JSON file "
              "(overrides the other run flags)",
     )
-    run_parser.add_argument(
+    parser.add_argument(
         "--sanitize", action="store_true",
         help="attach the runtime sanitizer (docs/determinism.md)",
     )
 
-    experiment_parser = sub.add_parser(
-        "experiment", help="regenerate one table/figure"
-    )
-    experiment_parser.add_argument("id", choices=sorted(REGISTRY))
-    experiment_parser.add_argument("--runs", type=int, default=None)
-    experiment_parser.add_argument(
+
+def _experiment_arguments(parser):
+    from repro.experiments import REGISTRY
+
+    parser.add_argument("id", choices=sorted(REGISTRY))
+    parser.add_argument("--runs", type=int, default=None)
+    parser.add_argument(
         "--chart", action="store_true",
         help="render a terminal chart shaped like the paper's figure",
     )
-    experiment_parser.add_argument(
+    parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the result as JSON",
     )
-    experiment_parser.add_argument(
+    parser.add_argument(
         "--sanitize", action="store_true",
         help="attach the runtime sanitizer (docs/determinism.md)",
     )
 
-    fleet_parser = sub.add_parser(
-        "fleet", help="simulate a device population in parallel"
-    )
-    fleet_parser.add_argument(
+
+def _fleet_arguments(parser):
+    parser.add_argument(
         "--sessions", type=int, default=64,
         help="number of device sessions to expand from the population",
     )
-    fleet_parser.add_argument(
+    parser.add_argument(
         "--workers", type=int, default=1,
         help="process-pool size (results are identical for any value)",
     )
-    fleet_parser.add_argument("--seed", type=int, default=0)
-    fleet_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="on-disk result cache; re-runs skip simulated sessions",
     )
-    fleet_parser.add_argument(
+    parser.add_argument(
         "--runs", type=int, default=None,
         help="inference iterations per session (default: population's)",
     )
-    fleet_parser.add_argument(
+    parser.add_argument(
         "--verify-cache", action="store_true", default=None,
         help="re-simulate cache hits and require identical result "
              "digests (also on under REPRO_SANITIZE=1)",
     )
-    fleet_parser.add_argument(
+    parser.add_argument(
         "--journal", default=None, metavar="PATH",
         help="append-only run journal; an interrupted run resumed with "
              "the same journal re-simulates nothing it finished",
     )
-    fleet_parser.add_argument(
+    parser.add_argument(
         "--session-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock deadline per session; a hung worker is killed "
              "and the session retried (docs/faults.md)",
     )
-    fleet_parser.add_argument(
+    parser.add_argument(
         "--max-failure-rate", type=float, default=None, metavar="FRACTION",
         help="exit non-zero when more than this fraction of sessions "
              "finish with a structured error",
     )
 
-    chaos_parser = sub.add_parser(
-        "chaos",
-        help="sweep FastRPC fault injection over a device fleet "
-             "(docs/faults.md)",
-    )
-    chaos_parser.add_argument(
+
+def _chaos_arguments(parser):
+    parser.add_argument(
         "--sessions", type=int, default=16,
         help="device sessions expanded per swept rate",
     )
-    chaos_parser.add_argument(
+    parser.add_argument(
         "--workers", type=int, default=1,
         help="process-pool size (results are identical for any value)",
     )
-    chaos_parser.add_argument("--seed", type=int, default=0)
-    chaos_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--runs", type=int, default=4,
         help="inference iterations per session",
     )
-    chaos_parser.add_argument(
+    parser.add_argument(
         "--fault-rate", type=float, action="append", default=None,
         metavar="RATE",
         help="per-call fault probability to sweep (repeatable; the 0.0 "
              "baseline is always included)",
     )
-    chaos_parser.add_argument(
+    parser.add_argument(
         "--max-failure-rate", type=float, default=None, metavar="FRACTION",
         help="exit non-zero when more than this fraction of sessions "
              "across the sweep failed",
     )
 
+
+def _serve_arguments(parser):
     from repro.service import ARRIVAL_KINDS, POLICIES
 
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run the inference service tier over a fleet-calibrated "
-             "backend pool (docs/service.md)",
-    )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--rate", type=float, default=200.0,
         help="mean offered load, requests per second",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--duration", type=float, default=1.0,
         help="simulated traffic window, seconds",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--arrivals", default="poisson", choices=ARRIVAL_KINDS,
         help="arrival process shape",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--slo", type=float, default=50.0, metavar="MS",
         help="per-request latency budget in ms (goodput bound)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--capacity", type=int, default=64,
         help="admission bound on outstanding requests",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--policy", default="reject", choices=POLICIES,
         help="what to do with over-capacity arrivals",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--batch", type=int, default=4,
         help="dynamic batcher: flush at this many requests",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--delay", type=float, default=5.0, metavar="MS",
         help="dynamic batcher: flush once the oldest waited this long",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--devices", type=int, default=4,
         help="population devices calibrated into the backend pool",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--fault-rate", type=float, default=0.0, metavar="RATE",
         help="per-call fault probability during calibration; nonzero "
              "switches to the chaos population so the no-recovery "
              "vendor slice is in the pool (docs/faults.md)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--backend-fault-rate", type=float, default=0.0, metavar="RATE",
         help="per-batch fault probability at each serving backend "
              "(failed batches redispatch; breakers eject repeat "
              "offenders, docs/service.md)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--ssr-storm", type=float, default=None, metavar="MS",
         help="inject a subsystem-restart storm at this simulated time",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--ssr-storm-backends", type=int, default=None, metavar="N",
         help="how many backends the storm hits (default: all)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--no-breakers", action="store_true",
         help="disable the per-backend circuit breakers",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--brownout-high", type=int, default=None, metavar="N",
         help="enter brownout (degraded-model execution) at this many "
              "outstanding requests",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--brownout-low", type=int, default=None, metavar="N",
         help="exit brownout at this many outstanding requests "
              "(default: half of --brownout-high)",
     )
-    serve_parser.add_argument("--seed", type=int, default=0)
-    serve_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--export", default=None, metavar="PATH",
         help="write the canonical ServiceResult JSON (byte-identical "
              "for same config+seed)",
     )
 
-    from repro.observability.scenarios import SCENARIOS
 
-    trace_parser = sub.add_parser(
-        "trace",
-        help="record a scenario and export a Chrome trace "
-             "(docs/tracing.md)",
-    )
-    trace_parser.add_argument("scenario", choices=sorted(SCENARIOS))
-    trace_parser.add_argument(
+def _trace_arguments(parser):
+    from repro.observability.scenarios import SCENARIOS
+    from repro.soc import SOC_SPECS
+
+    parser.add_argument("scenario", choices=sorted(SCENARIOS))
+    parser.add_argument(
         "--out", default="trace.json", metavar="PATH",
         help="Chrome trace-event JSON output path (default: trace.json)",
     )
-    trace_parser.add_argument(
+    parser.add_argument(
         "--runs", type=int, default=None,
         help="override the scenario's iteration count",
     )
-    trace_parser.add_argument("--seed", type=int, default=None)
-    trace_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument(
         "--soc", default=None, choices=sorted(SOC_SPECS),
         help="override the scenario's platform",
     )
-    trace_parser.add_argument(
+    parser.add_argument(
         "--top", type=int, default=5,
         help="labels shown per track in the self-time rollup",
     )
-    trace_parser.add_argument(
+    parser.add_argument(
         "--min-dur-us", type=float, default=0.0,
         help="drop spans shorter than this from the export",
     )
-    trace_parser.add_argument(
+    parser.add_argument(
         "--sanitize", action="store_true",
         help="attach the runtime sanitizer and print its audit",
     )
 
-    check_parser = sub.add_parser(
-        "check",
-        help="static analysis: lint + semcheck + archcheck + racecheck "
-             "over the same paths with a merged exit code "
-             "(docs/analysis.md)",
-    )
-    check_parser.add_argument(
+
+def _check_arguments(parser):
+    parser.add_argument(
         "paths", nargs="*", default=None, metavar="PATH",
         help="files or directories to check (default: the installed "
              "repro package)",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--tool", action="append", default=None, choices=CHECK_TOOLS,
         help="run only this checker (repeatable; default: all four)",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--baseline", default=None, metavar="PATH",
         help="baseline of acknowledged findings for the one --tool "
              "(default: each tool's .repro-<tool>-baseline.json if "
              "present)",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--write-baseline", action="store_true",
         help="acknowledge all current findings of the one --tool into "
              "its baseline",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--update-baseline", action="store_true",
         help="prune stale entries (acknowledged findings that no longer "
              "exist) from the one --tool's baseline; never adds entries",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--check", action="store_true",
         help="CI mode: stale baseline entries are errors",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (json: one object keyed by tool)",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--list-pragmas", action="store_true",
         help="inventory every `# repro: allow[...]` suppression under "
              "the checked paths instead of running rules",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--list-locks", action="store_true",
         help="inventory every yield executed while a Resource grant is "
              "held instead of running rules",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--contract", default=None, metavar="PATH",
         help="archcheck layering contract (default: .repro-arch.toml)",
     )
-    check_parser.add_argument(
+    parser.add_argument(
         "--sanitize", action="append", default=None, metavar="TARGET",
         help="also dual-run this sanitize target (repeatable); a "
              "divergence fails the check",
     )
 
-    sanitize_parser = sub.add_parser(
-        "sanitize",
-        help="dual-run replay digest: run a target twice with "
-             "invariant checks and diff event-stream sha256s",
-    )
-    sanitize_parser.add_argument(
+
+def _sanitize_arguments(parser):
+    parser.add_argument(
         "target",
         help="a trace scenario (e.g. quickstart, chaos), an experiment "
              "id (e.g. fig7), 'fleet', or 'serve'",
     )
-    sanitize_parser.add_argument(
+    parser.add_argument(
         "--runs", type=int, default=None,
         help="iteration override for scenario/fleet targets",
     )
-    sanitize_parser.add_argument("--seed", type=int, default=None)
-    sanitize_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument(
         "--sessions", type=int, default=4,
         help="fleet target: sessions per replay",
     )
-    sanitize_parser.add_argument(
+    parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report output format (json mirrors the other checkers)",
     )
 
-    report_parser = sub.add_parser("report", help="regenerate everything")
-    report_parser.add_argument("--fast", action="store_true")
-    return parser
+
+def _report_arguments(parser):
+    parser.add_argument("--fast", action="store_true")
 
 
-_HANDLERS = {
-    "models": _cmd_models,
-    "summary": _cmd_summary,
-    "socs": _cmd_socs,
-    "run": _cmd_run,
-    "experiment": _cmd_experiment,
-    "fleet": _cmd_fleet,
-    "chaos": _cmd_chaos,
-    "serve": _cmd_serve,
-    "trace": _cmd_trace,
-    "check": _cmd_check,
-    "sanitize": _cmd_sanitize,
-    "report": _cmd_report,
+#: Every subcommand in ``--help`` order: name -> (help, handler,
+#: add_arguments). ``add_arguments`` imports what its ``choices`` need,
+#: so a run registers, and pays for, the invoked command's alone.
+COMMANDS = {
+    "models": ("list the Table-I model zoo", _cmd_models, None),
+    "socs": ("list the Table-II platforms", _cmd_socs, None),
+    "summary": (
+        "re-validate the paper takeaways + inventory", _cmd_summary, None,
+    ),
+    "run": ("simulate one configuration", _cmd_run, _run_arguments),
+    "experiment": (
+        "regenerate one table/figure", _cmd_experiment, _experiment_arguments,
+    ),
+    "fleet": (
+        "simulate a device population in parallel", _cmd_fleet,
+        _fleet_arguments,
+    ),
+    "chaos": (
+        "sweep FastRPC fault injection over a device fleet "
+        "(docs/faults.md)",
+        _cmd_chaos, _chaos_arguments,
+    ),
+    "serve": (
+        "run the inference service tier over a fleet-calibrated "
+        "backend pool (docs/service.md)",
+        _cmd_serve, _serve_arguments,
+    ),
+    "trace": (
+        "record a scenario and export a Chrome trace (docs/tracing.md)",
+        _cmd_trace, _trace_arguments,
+    ),
+    "check": (
+        "static analysis: lint + semcheck + archcheck + racecheck "
+        "over the same paths with a merged exit code (docs/analysis.md)",
+        _cmd_check, _check_arguments,
+    ),
+    "sanitize": (
+        "dual-run replay digest: run a target twice with invariant "
+        "checks and diff event-stream sha256s",
+        _cmd_sanitize, _sanitize_arguments,
+    ),
+    "report": ("regenerate everything", _cmd_report, _report_arguments),
 }
 
 
+def build_parser(command=None):
+    """The argument parser; every subcommand's arguments, or ``command``'s.
+
+    Every subcommand is registered with its help either way, so usage
+    and the top-level help are the same; a name that is no command
+    registers no arguments at all.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="AI Tax in Mobile SoCs (ISPASS 2021) reproduction",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _handler, add_arguments) in COMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_text)
+        if add_arguments is not None and command in (None, name):
+            add_arguments(command_parser)
+    return parser
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    argv = sys.argv[1:] if argv is None else argv
+    # The first non-option token names the command ("" matches none).
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
+    return COMMANDS[args.command][1](args)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ and a stable JSON finding schema.
 
 import json
 
+import pytest
+
 from repro.analysis import archcheck, baseline, common, lint, semcheck
 
 
@@ -245,6 +247,42 @@ def test_cli_update_baseline_prunes_and_reports(tmp_path, capsys):
     assert "[wall-clock]" in out
     assert "pruned 1 stale entry, 0 kept" in out
     assert json.loads(path.read_text())["entries"] == []
+
+
+@pytest.mark.parametrize("flag", ["--write-baseline", "--update-baseline"])
+def test_cli_baseline_edit_skips_a_run_with_errors(tmp_path, capsys, flag):
+    from repro import cli
+
+    target = tmp_path / "mod.py"
+    target.write_text("import time\nT0 = time.time()\n")
+    path = tmp_path / "baseline.json"
+    argv = ["check", "--tool", "lint", str(target), "--baseline", str(path)]
+    assert cli.main(argv + ["--write-baseline"]) == 0
+    before = path.read_bytes()
+    capsys.readouterr()
+
+    # A file that no longer parses says nothing about which findings
+    # still exist: the acknowledged entry must survive.
+    target.write_text("import time\nT0 = time.time(\n")
+    assert cli.main(argv + [flag]) == 2
+    assert path.read_bytes() == before
+    assert "pruned" not in capsys.readouterr().out
+
+
+def test_cli_json_mode_keeps_baseline_diagnostics_off_stdout(
+    tmp_path, capsys
+):
+    from repro import cli
+
+    target = tmp_path / "mod.py"
+    target.write_text("VALUE = 1\n")
+    assert cli.main([
+        "check", str(target), "--format", "json",
+        "--baseline", str(tmp_path / "baseline.json"),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a baseline belongs to one tool" in captured.err
 
 
 def test_repo_pragma_inventory_is_tiny():

@@ -10,8 +10,8 @@ enabled path to unchanged span content.
 
 import sys
 
-from repro.observability.probes import _NULL, counter, instant, probe
 from repro.sim import Simulator
+from repro.sim.probes import _NULL, counter, instant, probe
 
 
 def test_disabled_probe_returns_shared_singleton():

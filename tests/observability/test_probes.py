@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.observability import counter, instant, probe
-from repro.observability.probes import _NULL
 from repro.sim import Simulator
+from repro.sim.probes import _NULL
 
 
 def test_null_probe_is_shared_when_tracing_off():

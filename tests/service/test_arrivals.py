@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service.arrivals import (
+from repro.apps.arrivals import (
     DiurnalArrivals,
     PoissonArrivals,
     make_arrivals,
