@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark suite.
 
-Each ``test_<id>_*.py`` regenerates one of the paper's tables/figures
-under pytest-benchmark timing and writes its rendered output to
+Each ``test_<id>_*.py`` regenerates one of the paper's tables/figures,
+asserts its shape and writes its rendered output to
 ``results/<id>.txt`` so a run leaves the full set of regenerated
-artifacts behind.
+artifacts behind. Every result is simulated, so a rerun reproduces the
+committed files byte for byte.
 """
 
 import pathlib

@@ -3,14 +3,10 @@
 from repro.experiments import run_experiment
 
 
-def test_fig10_multitenancy_cpu(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_experiment, args=("fig10",), kwargs={"runs": 8},
-        rounds=1, iterations=1,
-    )
+def test_fig10_multitenancy_cpu(save_result):
+    result = run_experiment("fig10", runs=8)
     save_result(result)
     inference = result.series["inference_ms"]
     cpu_side = result.series["capture_plus_pre_ms"]
     assert inference[-1] < 1.6 * inference[0]
     assert cpu_side[-1] > 1.1 * cpu_side[0]
-    benchmark.extra_info["cpu_side_growth"] = cpu_side[-1] / cpu_side[0]

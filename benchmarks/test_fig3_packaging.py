@@ -3,14 +3,9 @@
 from repro.experiments import run_experiment
 
 
-def test_fig3_packaging(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_experiment, args=("fig3",), kwargs={"runs": 8},
-        rounds=1, iterations=1,
-    )
+def test_fig3_packaging(save_result):
+    result = run_experiment("fig3", runs=8)
     save_result(result)
     for row in result.rows:
         _model, _dtype, cli_ms, _bench_app_ms, app_ms, _ratio = row
         assert app_ms > cli_ms
-    gaps = [row[4] / row[2] for row in result.rows]
-    benchmark.extra_info["mean_app_over_cli"] = sum(gaps) / len(gaps)

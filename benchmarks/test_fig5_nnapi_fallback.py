@@ -3,14 +3,10 @@
 from repro.experiments import run_experiment
 
 
-def test_fig5_nnapi_fallback(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_experiment, args=("fig5",), kwargs={"runs": 8},
-        rounds=1, iterations=1,
-    )
+def test_fig5_nnapi_fallback(save_result):
+    result = run_experiment("fig5", runs=8)
     save_result(result)
     latency = dict(zip(result.column("Target"), result.column("inference ms")))
     assert latency["hexagon"] < latency["cpu"] < latency["cpu1"]
     ratio = latency["nnapi"] / latency["cpu1"]
     assert 4.0 < ratio < 11.0
-    benchmark.extra_info["nnapi_over_cpu1"] = ratio

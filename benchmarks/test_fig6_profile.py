@@ -3,15 +3,11 @@
 from repro.experiments import run_experiment
 
 
-def test_fig6_profile(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_experiment, args=("fig6",), kwargs={"runs": 6},
-        rounds=1, iterations=1,
-    )
+def test_fig6_profile(save_result):
+    result = run_experiment("fig6", runs=6)
     save_result(result)
     rows = result.row_map("Target")
     assert rows["cpu"][1] > 0.5
     assert rows["hexagon"][3] > 0.2
     assert rows["nnapi"][2] > 0.8  # single hot thread
     assert rows["nnapi"][5] > rows["cpu"][5]  # more migrations
-    benchmark.extra_info["nnapi_migrations"] = rows["nnapi"][5]

@@ -3,9 +3,8 @@
 from repro.experiments import run_experiment
 
 
-def test_fig7_fastrpc(benchmark, save_result):
-    result = benchmark(run_experiment, "fig7")
+def test_fig7_fastrpc(save_result):
+    result = run_experiment("fig7")
     save_result(result)
     durations = result.series["durations_us"]
     assert durations[0] > durations[1]
-    benchmark.extra_info["cold_over_warm"] = durations[0] / durations[1]

@@ -3,13 +3,9 @@
 from repro.experiments import run_experiment
 
 
-def test_fig8_coldstart(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_experiment, args=("fig8",), rounds=1, iterations=1,
-    )
+def test_fig8_coldstart(save_result):
+    result = run_experiment("fig8")
     save_result(result)
     shares = result.series["offload_share"]
     assert all(a >= b for a, b in zip(shares, shares[1:]))
     assert shares[0] > 0.4 > shares[-1]
-    benchmark.extra_info["first_share"] = shares[0]
-    benchmark.extra_info["steady_share"] = shares[-1]

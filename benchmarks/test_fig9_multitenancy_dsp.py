@@ -3,14 +3,10 @@
 from repro.experiments import run_experiment
 
 
-def test_fig9_multitenancy_dsp(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_experiment, args=("fig9",), kwargs={"runs": 8},
-        rounds=1, iterations=1,
-    )
+def test_fig9_multitenancy_dsp(save_result):
+    result = run_experiment("fig9", runs=8)
     save_result(result)
     inference = result.series["inference_ms"]
     assert inference[-1] > 2.5 * inference[0]
     cpu_side = result.series["capture_plus_pre_ms"]
     assert max(cpu_side) < 2.0 * min(cpu_side)
-    benchmark.extra_info["inference_growth"] = inference[-1] / inference[0]

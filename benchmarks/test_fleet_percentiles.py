@@ -3,12 +3,8 @@
 from repro.experiments import run_experiment
 
 
-def test_fleet_percentiles(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_experiment, args=("fleet_percentiles",),
-        kwargs={"sessions": 64, "runs": 6, "seed": 0},
-        rounds=1, iterations=1,
-    )
+def test_fleet_percentiles(save_result):
+    result = run_experiment("fleet_percentiles", sessions=64, runs=6, seed=0)
     save_result(result)
     # Fig 11 at scale: the app packaging's run-to-run tail is heavier
     # than the benchmark packaging's.
@@ -19,6 +15,3 @@ def test_fleet_percentiles(benchmark, save_result):
     # end-to-end time in capture+pre+post.
     quantized = result.series["quantized_app_tax_fraction"][0]
     assert 0.35 <= quantized <= 0.80
-    benchmark.extra_info["app_tail_ratio"] = app_tail
-    benchmark.extra_info["benchmark_tail_ratio"] = benchmark_tail
-    benchmark.extra_info["quantized_app_tax_fraction"] = quantized

@@ -16,11 +16,8 @@ from repro.experiments import run_experiment
 from .conftest import RESULTS_DIR
 
 
-def test_resilience(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_experiment, args=("resilience",),
-        rounds=1, iterations=1,
-    )
+def test_resilience(save_result):
+    result = run_experiment("resilience")
     save_result(result)
 
     modes = result.series["storm_mode"]
@@ -56,4 +53,3 @@ def test_resilience(benchmark, save_result):
     with open(RESULTS_DIR / "BENCH_resilience.json", "w") as handle:
         json.dump(metrics, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    benchmark.extra_info.update(metrics)

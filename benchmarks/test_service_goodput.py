@@ -15,12 +15,8 @@ from repro.experiments import run_experiment
 from .conftest import RESULTS_DIR
 
 
-def test_service_goodput(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_experiment, args=("service_goodput",),
-        kwargs={"devices": 4, "seed": 0},
-        rounds=1, iterations=1,
-    )
+def test_service_goodput(save_result):
+    result = run_experiment("service_goodput", devices=4, seed=0)
     save_result(result)
 
     factors = result.series["load_factor"]
@@ -60,4 +56,3 @@ def test_service_goodput(benchmark, save_result):
     with open(RESULTS_DIR / "BENCH_service_goodput.json", "w") as handle:
         json.dump(metrics, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    benchmark.extra_info.update(metrics)

@@ -590,6 +590,23 @@ def is_request_call(node):
     )
 
 
+def release_target(node):
+    """Handle name a release call frees, or ``None``.
+
+    Both spellings count: ``handle.release()`` and the engine's own
+    ``resource.release(handle)``.
+    """
+    if not isinstance(node, ast.Call) or not isinstance(
+        node.func, ast.Attribute
+    ) or node.func.attr != "release":
+        return None
+    if not node.args and isinstance(node.func.value, ast.Name):
+        return node.func.value.id
+    if len(node.args) == 1 and isinstance(node.args[0], ast.Name):
+        return node.args[0].id
+    return None
+
+
 def is_eventish(node, handles):
     """Whether a yielded expression looks like an Event."""
     if isinstance(node, ast.Call):

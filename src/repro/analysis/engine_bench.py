@@ -1,30 +1,25 @@
-"""Engine perf trajectory: fingerprints, replay digests, throughput.
+"""Engine fingerprints and replay digests: the observably-free guard.
 
 The paper's discipline — measure overhead before claiming a win —
 applied to the simulator itself. A perf PR must be *observably free*:
-faster wall clock, identical simulation. This module provides the two
-halves of that contract:
-
-* **Fingerprints** (:func:`experiment_fingerprint`,
-  :func:`fleet_replay_digest`, :func:`engine_fingerprints`) — sha256
-  content hashes of figure-experiment outputs and of the sanitizer's
-  popped-event replay stream. The committed golden copy
-  (``benchmarks/results/ENGINE_golden_digests.json``) was generated on
-  the *pre-optimization* engine; ``benchmarks/test_engine_throughput.py``
-  re-derives the fingerprints on every run and fails on any drift, so an
-  "optimization" that changes a single popped event or output byte
-  cannot land silently.
-* **Throughput** (:func:`measure_fleet_throughput`,
-  :func:`measure_session_events`, :func:`measure_experiment_wall`) —
-  sessions/sec, events/sec, and per-experiment p50 wall time, the
-  numbers ``BENCH_engine_throughput.json`` tracks across PRs.
+faster wall clock, identical simulation. This module is the
+"identical simulation" half of that contract: sha256 content hashes
+of figure-experiment outputs (:func:`experiment_fingerprint`) and of
+the sanitizer's popped-event replay stream (:func:`fleet_replay_digest`),
+gathered by :func:`engine_fingerprints`. The committed golden copy
+(``benchmarks/results/ENGINE_golden_digests.json``) was generated on
+the *pre-optimization* engine; ``benchmarks/test_engine_golden.py``
+re-derives the fingerprints on every run and fails on any drift, so an
+"optimization" that changes a single popped event or output byte
+cannot land silently. The "faster wall clock" half is host time,
+measured spawn to exit by ``perfbench`` and gated by
+``benchmarks/perf_gate.py``.
 
 See ``docs/performance.md`` for the workflow.
 """
 
 import hashlib
 import json
-import time
 
 #: The figure experiments fingerprinted by the engine guard, with the
 #: exact kwargs the guard runs them under. Small enough to run in a
@@ -108,77 +103,4 @@ def engine_fingerprints():
             "events": replay["events"],
             "workload": replay["workload"],
         },
-    }
-
-
-# -- throughput ---------------------------------------------------------
-
-
-def measure_fleet_throughput(sessions=64, runs=6, seed=0, repeats=3):
-    """Single-process fleet sessions/sec on the fleet_percentiles load.
-
-    Runs the same deterministic workload ``repeats`` times (no cache,
-    one process) and reports the *best* wall time — the least-noisy
-    estimator for a fixed workload on a shared machine.
-    """
-    from repro.fleet import run_fleet
-
-    walls = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fleet = run_fleet(sessions=sessions, workers=1, seed=seed, runs=runs)
-        walls.append(time.perf_counter() - start)
-    best = min(walls)
-    return {
-        "sessions": len(fleet),
-        "runs_per_session": runs,
-        "wall_s": best,
-        "wall_s_all": walls,
-        "sessions_per_sec": len(fleet) / best,
-    }
-
-
-def measure_session_events(model_key="mobilenet_v1", dtype="int8",
-                           context="app", target="hexagon", runs=6, seed=0):
-    """Events/sec of one representative end-to-end session.
-
-    Returns the popped-event count (a pure function of the workload —
-    identical before and after any observably-free optimization) and
-    the wall-clock rate at which the engine retired them.
-    """
-    from repro.apps import PipelineConfig, run_pipeline_with_rig
-
-    config = PipelineConfig(
-        model_key=model_key, dtype=dtype, context=context, target=target,
-        runs=runs, seed=seed,
-    )
-    start = time.perf_counter()
-    _records, sim, _soc, _kernel, _packaging = run_pipeline_with_rig(config)
-    wall = time.perf_counter() - start
-    events = sim.events_processed
-    return {
-        "model": model_key,
-        "dtype": dtype,
-        "context": context,
-        "target": target,
-        "events": events,
-        "wall_s": wall,
-        "events_per_sec": events / wall if wall else 0.0,
-    }
-
-
-def measure_experiment_wall(experiment_id, repeats=3, **kwargs):
-    """Median (p50) wall seconds of one figure experiment."""
-    from repro.experiments import run_experiment
-
-    walls = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_experiment(experiment_id, **kwargs)
-        walls.append(time.perf_counter() - start)
-    walls.sort()
-    return {
-        "experiment_id": experiment_id,
-        "p50_wall_s": walls[len(walls) // 2],
-        "best_wall_s": walls[0],
     }

@@ -125,8 +125,9 @@ class LintConfig:
 
     wallclock_allow: tuple = (
         "*/processing/calibrate.py",
-        # The engine perf harness measures the host by design:
-        # sessions/sec and events/sec are wall-clock metrics.
+        # The live engine_bench reads no clock, but perfbench's pinned
+        # ``check`` input holds the old timing version; its reference
+        # digests count no wall-clock finding there.
         "*/analysis/engine_bench.py",
         # The fleet supervisor lives on the host side of the process
         # boundary: worker deadlines and crash backoff are wall-clock

@@ -75,6 +75,7 @@ from repro.analysis.common import (
     has_own_yield,
     is_request_call,
     process_like,
+    release_target,
 )
 from repro.analysis.common import render_findings as _render_findings
 
@@ -703,7 +704,9 @@ class _BodyPass(FlowWalker):
             stmt, self.model.index.children
         )
         # Explicit request()/release() handle protocol.
-        release_handles = _released_handles(stmt)
+        release_handles = {
+            release_target(node) for node in ast.walk(stmt)
+        } - {None}
         read_locs = set()
         for chain, node in reads:
             loc = self.scope.classify(*chain)
@@ -992,21 +995,6 @@ def _aug_op(op):
     if isinstance(op, ast.Sub):
         return "sub"
     return "aug"
-
-
-def _released_handles(stmt):
-    """Handle names ``release()``d anywhere in the statement."""
-    names = set()
-    for node in ast.walk(stmt):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "release"
-            and isinstance(node.func.value, ast.Name)
-            and not node.args
-        ):
-            names.add(node.func.value.id)
-    return names
 
 
 # ---------------------------------------------------------------------------

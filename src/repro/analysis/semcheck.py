@@ -58,6 +58,7 @@ from repro.analysis.common import (
     is_request_call,
     matches_any,
     process_like,
+    release_target,
 )
 from repro.analysis.common import render_findings as _render_findings
 
@@ -596,7 +597,7 @@ class _ProtocolPass(FlowWalker):
                 discarded = isinstance(stmt, ast.Expr) and stmt.value is node
                 events.append(("request", target, discarded, node))
             elif isinstance(node, ast.Call):
-                handle = _release_handle(node)
+                handle = release_target(node)
                 if handle is not None:
                     events.append(("release", handle, False, node))
             elif isinstance(node, (ast.Yield, ast.YieldFrom)):
@@ -747,24 +748,11 @@ class _ProtocolPass(FlowWalker):
             self.state[name] = {_REL}
 
 
-def _release_handle(node):
-    """Handle name targeted by a release call, or ``None``."""
-    if not isinstance(node, ast.Call) or not isinstance(
-        node.func, ast.Attribute
-    ) or node.func.attr != "release":
-        return None
-    if not node.args and isinstance(node.func.value, ast.Name):
-        return node.func.value.id
-    if len(node.args) == 1 and isinstance(node.args[0], ast.Name):
-        return node.args[0].id
-    return None
-
-
 def _released_names(body):
     names = set()
     for stmt in body:
         for node in ast.walk(stmt):
-            handle = _release_handle(node)
+            handle = release_target(node)
             if handle is not None:
                 names.add(handle)
     return names

@@ -673,7 +673,7 @@ def _cmd_sanitize(args):
         args.target, runs=args.runs, seed=args.seed, sessions=args.sessions
     )
     if scenario is None:
-        print(unknown)
+        print(unknown, file=sys.stderr)
         return 2
 
     report = dual_run(scenario)

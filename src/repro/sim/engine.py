@@ -76,8 +76,8 @@ class Simulator:
         self._sequence = 0
         self._active_process = None
         self._id_counters = {}
-        #: Events popped and dispatched so far — the denominator of the
-        #: events/sec throughput metric in ``BENCH_engine_throughput``.
+        #: Events popped and dispatched so far — perfbench's
+        #: ``sim.events`` count and its per-event host-time denominator.
         self.events_processed = 0
         self.sanitizer = None
         if sanitize is None:

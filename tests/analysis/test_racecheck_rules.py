@@ -182,6 +182,48 @@ def test_lock_inventory_reports_yields_while_holding(tmp_path):
         records, key=lambda rec: (rec["path"], rec["line"]))
 
 
+# -- release spellings ---------------------------------------------------
+
+#: The engine spells a release ``resource.release(handle)``; the grant
+#: must end there exactly as it does at ``handle.release()``.
+RELEASE_BY_ARGUMENT = """\
+from repro.sim.events import Sleep
+
+
+class Meter:
+    def bump(self):
+        req = self.res.request()
+        yield req
+        self.res.release(req)
+        level = self.level
+        yield Sleep(1.0)
+        self.level = level + 1
+
+    def reset(self):
+        self.level = 0
+        yield Sleep(1.0)
+"""
+
+
+def test_release_by_argument_ends_the_grant():
+    findings, errors = racecheck.racecheck_source(
+        RELEASE_BY_ARGUMENT, "meter.py", resolved_path=PLAIN_PATH)
+    assert errors == []
+    assert [(f.rule, f.line) for f in findings] == [
+        ("atomicity-violation", 11),
+    ]
+
+
+def test_release_by_argument_leaves_no_held_yield(tmp_path):
+    target = tmp_path / "meter.py"
+    target.write_text(RELEASE_BY_ARGUMENT)
+    records, errors = racecheck.lock_inventory([target])
+    assert errors == []
+    assert [(rec["line"], rec["locks"]) for rec in records] == [
+        (7, ["res"]),
+    ]
+
+
 # -- CLI contract --------------------------------------------------------
 
 

@@ -127,6 +127,14 @@ def test_trace_rejects_unknown_scenario():
         build_parser().parse_args(["trace", "no-such-scenario"])
 
 
+def test_sanitize_unknown_target_keeps_stdout_clean(capsys):
+    # With --format json, stdout carries JSON or nothing at all.
+    assert main(["sanitize", "bogus", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown sanitize target 'bogus'" in captured.err
+
+
 def test_summary_command(capsys):
     assert main(["summary"]) == 0
     out = capsys.readouterr().out
